@@ -10,6 +10,7 @@ package cbi_bench
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
 	"math"
@@ -335,6 +336,56 @@ func BenchmarkDecodeArena(b *testing.B) {
 			b.Fatal(err)
 		}
 		lease.Release()
+	}
+}
+
+// BenchmarkGzipLevels is the measured curve behind the system's one
+// gzip level (internal/report/gzip.go, table in DESIGN §13): one
+// client batch of 64 MOSS reports compressed at each candidate level
+// through a reused writer, plus the fresh default-level writer every
+// call site used to build. B/batch is the compressed size.
+func BenchmarkGzipLevels(b *testing.B) {
+	res := warm(b, "moss", harness.SampleUniform)
+	var raw bytes.Buffer
+	batch := &report.Set{NumSites: res.Set.NumSites, NumPreds: res.Set.NumPreds, Reports: res.Set.Reports[:64]}
+	if err := batch.MarshalBinary(&raw); err != nil {
+		b.Fatal(err)
+	}
+	levels := []struct {
+		name  string
+		level int
+		fresh bool
+	}{
+		{"default-fresh", gzip.DefaultCompression, true},
+		{"default", gzip.DefaultCompression, false},
+		{"L4", 4, false}, {"L3", 3, false}, {"L2", 2, false},
+		{"L1-BestSpeed", gzip.BestSpeed, false},
+		{"HuffmanOnly", gzip.HuffmanOnly, false},
+	}
+	for _, l := range levels {
+		b.Run(l.name, func(b *testing.B) {
+			var out bytes.Buffer
+			zw, err := gzip.NewWriterLevel(&out, l.level)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(raw.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out.Reset()
+				if l.fresh {
+					zw = gzip.NewWriter(&out)
+				} else {
+					zw.Reset(&out)
+				}
+				zw.Write(raw.Bytes())
+				if err := zw.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(out.Len()), "B/batch")
+		})
 	}
 }
 

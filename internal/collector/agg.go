@@ -312,12 +312,14 @@ func (a *shardedAgg) Apply(r *report.Report) {
 // records — the point where callers mark the batch's WAL sequence
 // applied and stash the records for revoke reversal, so a concurrent
 // snapshot can never capture half a batch or a mark without its state.
-// encoded, when non-nil, supplies each report's AppendRecord bytes
-// (index-aligned with reports) so a caller that already encoded the
-// batch — the WAL append path — doesn't pay for it twice. key is the
-// batch's routing-key hash (corpus.NoKey when unknown); every run in a
-// batch shares one submitting client and hence one key. recs is nil
-// when retention is disabled.
+// encoded, when non-nil, supplies each report's canonical record
+// (index-aligned with reports) so a caller that already holds the
+// bytes — the wire spans of an arena-decoded body, a replayed WAL
+// payload — doesn't encode the batch again. The log copies a record it
+// has not seen before, so encoded may alias buffers the caller reuses
+// after the call. key is the batch's routing-key hash (corpus.NoKey
+// when unknown); every run in a batch shares one submitting client and
+// hence one key. recs is nil when retention is disabled.
 func (a *shardedAgg) ApplyBatch(reports []*report.Report, encoded [][]byte, key uint64, after func(recs [][]byte)) [][]byte {
 	a.gate.RLock()
 	defer a.gate.RUnlock()
@@ -343,14 +345,13 @@ func (a *shardedAgg) ApplyBatch(reports []*report.Report, encoded [][]byte, key 
 		}
 		for i, r := range reports {
 			var pre []byte
-			owned := encoded != nil
-			if owned {
+			if encoded != nil {
 				pre = encoded[i]
 			} else {
 				*scratch = report.AppendRecord((*scratch)[:0], r)
 				pre = *scratch
 			}
-			rec, ev := a.log.append(pre, owned, key, now)
+			rec, ev := a.log.append(pre, key, now)
 			if a.hist != nil {
 				for range ev {
 					a.noteLocked(corpus.DeltaEvict, nil)
@@ -389,7 +390,6 @@ func (a *shardedAgg) applyOne(r *report.Report, pre []byte, key uint64) []byte {
 	var rec []byte
 	var evicted [][]byte
 	if a.log != nil {
-		owned := pre != nil
 		var scratch *[]byte
 		if pre == nil {
 			scratch = a.getEncBuf()
@@ -402,7 +402,7 @@ func (a *shardedAgg) applyOne(r *report.Report, pre []byte, key uint64) []byte {
 			evicted = a.log.evictExpired(now - int64(a.maxAge))
 		}
 		var ev [][]byte
-		rec, ev = a.log.append(pre, owned, key, now)
+		rec, ev = a.log.append(pre, key, now)
 		evicted = append(evicted, ev...)
 		if a.hist != nil {
 			// Recording the evictions before the append is equivalent to
@@ -433,24 +433,16 @@ type foldScratch struct {
 	fSite, sSite, fPred, sPred []int64
 	tfSite, tsSite             []int32
 	tfPred, tsPred             []int32
+	// nf and ns are the signed run totals accumulated so far.
+	nf, ns int64
+	// ids is the slab uncount decodes each evicted record into.
+	ids []int32
 }
 
-// bumpBatch folds a whole batch of +1 reports into the counters with
-// one add per distinct (id, outcome) the batch touches — and one
-// stripe-lock acquisition per stripe touched — instead of one per
-// report occurrence. Callers hold gate.RLock.
-func (a *shardedAgg) bumpBatch(reports []*report.Report) {
-	if len(reports) == 0 {
-		return
-	}
-	if len(reports) == 1 {
-		a.bump(reports[0], +1)
-		return
-	}
-	var sc *foldScratch
-	if v := a.foldPool.Get(); v != nil {
-		sc = v.(*foldScratch)
-	} else {
+// getFold fetches a pooled fold workspace sized to the aggregate.
+func (a *shardedAgg) getFold() *foldScratch {
+	sc, _ := a.foldPool.Get().(*foldScratch)
+	if sc == nil {
 		sc = &foldScratch{}
 	}
 	if len(sc.fSite) < a.numSites {
@@ -461,40 +453,66 @@ func (a *shardedAgg) bumpBatch(reports []*report.Report) {
 		sc.fPred = make([]int64, a.numPreds)
 		sc.sPred = make([]int64, a.numPreds)
 	}
-	var nf, ns int64
-	for _, r := range reports {
-		site, pred := sc.sSite, sc.sPred
-		touchedS, touchedP := &sc.tsSite, &sc.tsPred
-		if r.Failed {
-			site, pred = sc.fSite, sc.fPred
-			touchedS, touchedP = &sc.tfSite, &sc.tfPred
-			nf++
-		} else {
-			ns++
-		}
-		// Deltas are all +1, so a slot is first-touched exactly when it
-		// is still zero.
-		for _, id := range r.ObservedSites {
-			if site[id] == 0 {
-				*touchedS = append(*touchedS, id)
-			}
-			site[id]++
-		}
-		for _, id := range r.TruePreds {
-			if pred[id] == 0 {
-				*touchedP = append(*touchedP, id)
-			}
-			pred[id]++
-		}
+	return sc
+}
+
+// add accumulates one run's delta (+1 or -1) into the workspace. Every
+// delta of one fold carries the same sign, so a slot is first-touched
+// exactly when it is still zero.
+func (sc *foldScratch) add(failed bool, sites, preds []int32, delta int64) {
+	site, pred := sc.sSite, sc.sPred
+	touchedS, touchedP := &sc.tsSite, &sc.tsPred
+	if failed {
+		site, pred = sc.fSite, sc.fPred
+		touchedS, touchedP = &sc.tfSite, &sc.tfPred
+		sc.nf += delta
+	} else {
+		sc.ns += delta
 	}
+	for _, id := range sites {
+		if site[id] == 0 {
+			*touchedS = append(*touchedS, id)
+		}
+		site[id] += delta
+	}
+	for _, id := range preds {
+		if pred[id] == 0 {
+			*touchedP = append(*touchedP, id)
+		}
+		pred[id] += delta
+	}
+}
+
+// putFold lands what sc.add accumulated on the counters — one add per
+// distinct (id, outcome) touched and one stripe-lock acquisition per
+// stripe touched, instead of one per occurrence — and returns the
+// workspace to the pool. Callers hold gate (either side).
+func (a *shardedAgg) putFold(sc *foldScratch) {
 	flushFold(a.fObsSite, sc.fSite, sc.tfSite, a.siteMu, a.siteBlock)
 	flushFold(a.sObsSite, sc.sSite, sc.tsSite, a.siteMu, a.siteBlock)
 	flushFold(a.fPred, sc.fPred, sc.tfPred, a.predMu, a.predBlock)
 	flushFold(a.sPred, sc.sPred, sc.tsPred, a.predMu, a.predBlock)
 	sc.tfSite, sc.tsSite = sc.tfSite[:0], sc.tsSite[:0]
 	sc.tfPred, sc.tsPred = sc.tfPred[:0], sc.tsPred[:0]
+	if sc.nf != 0 || sc.ns != 0 {
+		a.runs.BumpN(sc.nf, sc.ns)
+		sc.nf, sc.ns = 0, 0
+	}
 	a.foldPool.Put(sc)
-	a.runs.BumpN(nf, ns)
+}
+
+// bumpBatch folds a whole batch of +1 reports into the counters.
+// Callers hold gate.RLock.
+func (a *shardedAgg) bumpBatch(reports []*report.Report) {
+	if len(reports) == 1 {
+		a.bump(reports[0], +1)
+		return
+	}
+	sc := a.getFold()
+	for _, r := range reports {
+		sc.add(r.Failed, r.ObservedSites, r.TruePreds, +1)
+	}
+	a.putFold(sc)
 }
 
 // flushFold lands accumulated deltas with one plain add per touched
@@ -518,23 +536,31 @@ func flushFold(dst, deltas []int64, touched []int32, mus []stripeMutex, block in
 	}
 }
 
-// uncount subtracts evicted run-log records from the counters. Callers
-// must hold gate (either side).
+// uncount subtracts evicted run-log records from the counters, walking
+// each record's bytes into one reused id slab — no report is
+// materialized per evicted run. Callers must hold gate (either side).
 func (a *shardedAgg) uncount(evicted [][]byte) {
 	if len(evicted) == 0 {
 		return
 	}
-	// The records were produced by AppendRecord on already-validated
-	// reports, so decoding cannot fail; a corrupted record would mean
-	// memory corruption, and dropping it silently would desync the
-	// counters from the log.
-	old, err := decodeRecords(evicted, a.numSites, a.numPreds)
-	if err != nil {
-		panic(err)
+	sc := a.getFold()
+	for _, rec := range evicted {
+		ids, n, failed, err := report.AppendRecordIDs(sc.ids[:0], rec, a.numSites, a.numPreds)
+		if err != nil {
+			// The records are canonical encodings of already-validated
+			// reports, so walking them cannot fail; a corrupted record
+			// would mean memory corruption, and dropping it silently
+			// would desync the counters from the log.
+			panic(fmt.Errorf("collector: run-log record: %v", err))
+		}
+		sc.ids = ids
+		if len(evicted) == 1 {
+			a.bumpIDs(failed, ids[:n], ids[n:], -1)
+		} else {
+			sc.add(failed, ids[:n], ids[n:], -1)
+		}
 	}
-	for _, r := range old {
-		a.bump(r, -1)
-	}
+	a.putFold(sc)
 }
 
 // EvictExpired evicts (and un-counts) runs older than the age cap, so
@@ -618,12 +644,14 @@ func (a *shardedAgg) MergeSegment(snap *corpus.AggSnapshot, reports []*report.Re
 			}
 			evicted = append(evicted, ev...)
 		}
+		scratch := a.getEncBuf()
 		for i, r := range reports {
 			key := corpus.NoKey
 			if keys != nil {
 				key = keys[i]
 			}
-			rec, ev := a.log.append(report.AppendRecord(nil, r), true, key, now)
+			*scratch = report.AppendRecord((*scratch)[:0], r)
+			rec, ev := a.log.append(*scratch, key, now)
 			joined = append(joined, rec)
 			if a.hist != nil {
 				for range ev {
@@ -633,6 +661,7 @@ func (a *shardedAgg) MergeSegment(snap *corpus.AggSnapshot, reports []*report.Re
 			}
 			evicted = append(evicted, ev...)
 		}
+		a.encPool.Put(scratch)
 		a.logMu.Unlock()
 	}
 	a.uncount(evicted)
@@ -641,17 +670,22 @@ func (a *shardedAgg) MergeSegment(snap *corpus.AggSnapshot, reports []*report.Re
 	}
 }
 
-// bump adds delta to every counter the report touches, with lock-free
-// atomic adds. Callers must hold gate.RLock (or stronger).
+// bump adds delta to every counter the report touches, with plain adds
+// under the stripe locks. Callers must hold gate.RLock (or stronger).
 func (a *shardedAgg) bump(r *report.Report, delta int64) {
+	a.bumpIDs(r.Failed, r.ObservedSites, r.TruePreds, delta)
+}
+
+// bumpIDs is bump over a run's bare outcome and id lists.
+func (a *shardedAgg) bumpIDs(failed bool, sites, preds []int32, delta int64) {
 	siteCounts, predCounts := a.sObsSite, a.sPred
-	if r.Failed {
+	if failed {
 		siteCounts, predCounts = a.fObsSite, a.fPred
 	}
-	addStriped(siteCounts, r.ObservedSites, delta, a.siteMu, a.siteBlock)
-	addStriped(predCounts, r.TruePreds, delta, a.predMu, a.predBlock)
+	addStriped(siteCounts, sites, delta, a.siteMu, a.siteBlock)
+	addStriped(predCounts, preds, delta, a.predMu, a.predBlock)
 
-	if r.Failed {
+	if failed {
 		a.runs.BumpN(delta, 0)
 	} else {
 		a.runs.BumpN(0, delta)

@@ -6,7 +6,13 @@ import (
 	"testing"
 
 	"cbi/internal/core"
+	"cbi/internal/corpus"
 	"cbi/internal/harness"
+	"cbi/internal/instrument"
+	"cbi/internal/interp"
+	"cbi/internal/progen"
+	"cbi/internal/report"
+	"cbi/internal/sampling"
 	"cbi/internal/subjects"
 )
 
@@ -102,5 +108,69 @@ func TestShardedAggSnapshotRestore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(snap.FobsSite, savedFobs) || !reflect.DeepEqual(snap.FPred, savedFPred) {
 		t.Fatal("snapshot aliases live counters")
+	}
+}
+
+// progenReports runs one random program (internal/progen) under full
+// instrumentation on a spread of inputs and returns its feedback
+// reports with their dimensions — corpora whose shapes nobody picked.
+// Every other run gets a step budget too small to finish, so each
+// corpus mixes successful runs with failing ones cut off part-way.
+func progenReports(seed int64, runs int) (numSites, numPreds int, reports []*report.Report) {
+	cfg := progen.DefaultConfig
+	cfg.Risky = false
+	prog := progen.Generate(seed, cfg)
+	plan := instrument.BuildPlan(prog)
+	rt := instrument.NewRuntime(plan, sampling.Always{})
+	eng := interp.New(prog, rt)
+	for i := 0; i < runs; i++ {
+		limit := int64(20_000)
+		if i%2 == 1 {
+			limit = int64(20 + 13*i)
+		}
+		eng.SetLimits(interp.Limits{Steps: limit})
+		rt.BeginRun(seed*1000 + int64(i))
+		out := eng.Run(progen.Input(seed*1000 + int64(i)))
+		reports = append(reports, rt.Snapshot(out.Crashed))
+	}
+	return plan.NumSites(), plan.NumPreds(), reports
+}
+
+// TestUncountMatchesBump pins the fold from record bytes to the fold
+// from reports it replaced: un-counting runs by walking their run-log
+// records — one at a time and batched through the fold scratch —
+// leaves exactly the counters that bump(r, -1) leaves, which are
+// exactly those of an aggregate that never saw the runs.
+func TestUncountMatchesBump(t *testing.T) {
+	counters := func(a *shardedAgg) [][]int64 {
+		f, s := a.Runs()
+		return [][]int64{{f, s}, a.fObsSite, a.sObsSite, a.fPred, a.sPred}
+	}
+	for seed := int64(1); seed <= 24; seed++ {
+		numSites, numPreds, reports := progenReports(seed, 40)
+		keep := len(reports) / 3
+		build := func(n int) *shardedAgg {
+			a := newShardedAgg(numSites, numPreds, 3, defaultRunLogCap, 0, 0, nil)
+			a.ApplyBatch(reports[:n], nil, corpus.NoKey, nil)
+			return a
+		}
+		want := build(keep)
+
+		bumped := build(len(reports))
+		for _, r := range reports[keep:] {
+			bumped.bump(r, -1)
+		}
+		batched := build(len(reports))
+		batched.uncount(encodeReports(reports[keep:]))
+		single := build(len(reports))
+		for _, rec := range encodeReports(reports[keep:]) {
+			single.uncount([][]byte{rec})
+		}
+		for name, got := range map[string]*shardedAgg{"bump": bumped, "batched uncount": batched, "single uncount": single} {
+			if !reflect.DeepEqual(counters(got), counters(want)) {
+				t.Fatalf("seed %d (%d sites, %d preds): counters after %s differ from never having counted the runs",
+					seed, numSites, numPreds, name)
+			}
+		}
 	}
 }

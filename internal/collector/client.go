@@ -2,7 +2,6 @@ package collector
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -190,28 +189,44 @@ func (c *Client) Submitted() int64 { return c.submitted.Load() }
 // Retries returns the number of transient failures retried.
 func (c *Client) Retries() int64 { return c.retries.Load() }
 
+// encodeBufs recycles the buffers batches are encoded into.
+var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// encode returns one batch's request body. The batch is encoded (and
+// compressed) into a pooled buffer and the body copied out at exactly
+// its size: the transport may still be reading a request body after
+// the response is in, so the pooled buffer — like the pooled gzip
+// writer — is back in its pool before the network round trip, never
+// shared with it.
+func (c *Client) encode(batch []*report.Report) ([]byte, error) {
+	set := &report.Set{NumSites: c.numSites, NumPreds: c.numPreds, Reports: batch}
+	buf := encodeBufs.Get().(*bytes.Buffer)
+	defer encodeBufs.Put(buf)
+	buf.Reset()
+	var err error
+	if c.gzipOn {
+		err = report.Gzip(buf, set.MarshalBinary)
+	} else {
+		err = set.MarshalBinary(buf)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(buf.Bytes()), nil
+}
+
 // send encodes one batch and POSTs it, retrying transient failures.
 func (c *Client) send(ctx context.Context, batch []*report.Report) error {
-	set := &report.Set{NumSites: c.numSites, NumPreds: c.numPreds, Reports: batch}
-	var buf bytes.Buffer
-	if c.gzipOn {
-		gz := gzip.NewWriter(&buf)
-		if err := set.MarshalBinary(gz); err != nil {
-			return err
-		}
-		if err := gz.Close(); err != nil {
-			return err
-		}
-	} else if err := set.MarshalBinary(&buf); err != nil {
+	payload, err := c.encode(batch)
+	if err != nil {
 		return err
 	}
-	payload := buf.Bytes()
 
 	// A batch id, stable across retry attempts, lets the server
 	// recognize re-deliveries: a POST can land server-side while the
 	// response is lost (timeout, connection reset), and without the id
 	// the retry would ingest the whole batch a second time.
-	err := c.deliver(ctx, "/v1/reports", "application/x-cbi-reports",
+	err = c.deliver(ctx, "/v1/reports", "application/x-cbi-reports",
 		payload, len(batch), randomID())
 	if err != nil {
 		return fmt.Errorf("collector: submitting batch of %d: %v", len(batch), err)
@@ -225,14 +240,11 @@ func (c *Client) send(ctx context.Context, batch []*report.Report) error {
 // an offline reducer) folds its state into a peer.
 func (c *Client) PushMerge(ctx context.Context, snap *corpus.AggSnapshot, set *report.Set) error {
 	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	if err := corpus.WriteMergeSegment(gz, snap, set); err != nil {
+	err := report.Gzip(&buf, func(gz io.Writer) error { return corpus.WriteMergeSegment(gz, snap, set) })
+	if err != nil {
 		return err
 	}
-	if err := gz.Close(); err != nil {
-		return err
-	}
-	err := c.deliver(ctx, "/v1/merge", "application/x-cbi-merge",
+	err = c.deliver(ctx, "/v1/merge", "application/x-cbi-merge",
 		buf.Bytes(), len(set.Reports), randomID())
 	if err != nil {
 		return fmt.Errorf("collector: pushing merge of %d runs: %v", len(set.Reports), err)

@@ -1,9 +1,9 @@
 package collector
 
 import (
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -166,12 +166,10 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-CBI-Export-Watermark", strconv.FormatUint(chunk.watermark, 10))
 	w.Header().Set("X-CBI-Export-Remaining", strconv.Itoa(chunk.remaining))
 	cw := &countingWriter{w: w}
-	gz := gzip.NewWriter(cw)
-	if err := corpus.WriteMergeSegmentKeyed(gz, chunk.snap, set, chunk.keys); err != nil {
-		s.cfg.Logf("collector: export chunk: %v", err)
-		return
-	}
-	if err := gz.Close(); err != nil {
+	err = report.Gzip(cw, func(gz io.Writer) error {
+		return corpus.WriteMergeSegmentKeyed(gz, chunk.snap, set, chunk.keys)
+	})
+	if err != nil {
 		s.cfg.Logf("collector: export chunk: %v", err)
 		return
 	}
@@ -264,12 +262,8 @@ func (s *Server) handleResidual(w http.ResponseWriter, r *http.Request) {
 		residual.Fingerprint = s.cfg.Fingerprint
 		set := &report.Set{NumSites: s.cfg.NumSites, NumPreds: s.cfg.NumPreds}
 		w.Header().Set("Content-Type", "application/x-cbi-merge+gzip")
-		gz := gzip.NewWriter(w)
-		if err := corpus.WriteMergeSegment(gz, residual, set); err != nil {
-			s.cfg.Logf("collector: residual export: %v", err)
-			return
-		}
-		if err := gz.Close(); err != nil {
+		err = report.Gzip(w, func(gz io.Writer) error { return corpus.WriteMergeSegment(gz, residual, set) })
+		if err != nil {
 			s.cfg.Logf("collector: residual export: %v", err)
 		}
 	case http.MethodPost:

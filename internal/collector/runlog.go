@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"bytes"
 	"fmt"
 
 	"cbi/internal/corpus"
@@ -79,20 +78,17 @@ func newRunLog(capRuns int, maxBytes int64) *runLog {
 		interned: make(map[string]*internEntry)}
 }
 
-// intern returns the canonical copy of rec, adding one reference. When
-// owned, a first-seen rec is adopted as the canonical bytes without
-// copying (the caller must never mutate it afterwards); otherwise the
-// first occurrence is copied, so callers may pass reused scratch
-// buffers. The map lookup on the hit path allocates nothing.
-func (l *runLog) intern(rec []byte, owned bool) []byte {
+// intern returns the canonical copy of rec, adding one reference. A
+// first-seen rec is copied into one allocation of exactly its size, so
+// callers pass views into buffers they go on to reuse — a request
+// body, a WAL payload, an encode scratch. The map lookup on the hit
+// path allocates nothing.
+func (l *runLog) intern(rec []byte) []byte {
 	if e := l.interned[string(rec)]; e != nil {
 		e.refs++
 		return e.rec
 	}
-	canon := rec
-	if !owned {
-		canon = append([]byte(nil), rec...)
-	}
+	canon := append([]byte(nil), rec...)
 	l.interned[string(canon)] = &internEntry{rec: canon, refs: 1}
 	return canon
 }
@@ -139,16 +135,15 @@ func (l *runLog) grow() {
 // they encoded into — plus the evicted records the retention caps force
 // out, oldest first (nil when under cap): at most one for the count
 // cap, plus as many oldest runs as it takes to get back under the byte
-// cap. owned declares whether rec is a fresh allocation the log may
-// adopt as canonical (see intern). The returned slices are immutable:
-// rings swap record pointers, never reuse their bytes.
-func (l *runLog) append(rec []byte, owned bool, key uint64, now int64) (canon []byte, evicted [][]byte) {
+// cap. The returned slices are immutable: rings swap record pointers,
+// never reuse their bytes.
+func (l *runLog) append(rec []byte, key uint64, now int64) (canon []byte, evicted [][]byte) {
 	if l.n == l.cap {
 		evicted = append(evicted, l.evictOldest())
 	} else if l.n == len(l.recs) {
 		l.grow()
 	}
-	rec = l.intern(rec, owned)
+	rec = l.intern(rec)
 	i := (l.head + l.n) % len(l.recs)
 	l.lastSeq++
 	l.recs[i], l.times[i], l.keys[i], l.seqs[i] = rec, now, key, l.lastSeq
@@ -318,7 +313,7 @@ func (l *runLog) restore(reports []*report.Report, keys []uint64, now int64) (re
 	var scratch []byte
 	for i, r := range reports {
 		scratch = report.AppendRecord(scratch[:0], r)
-		l.recs[i] = l.intern(scratch, false)
+		l.recs[i] = l.intern(scratch)
 		l.times[i] = now
 		if keys != nil {
 			l.keys[i] = keys[i]
@@ -344,7 +339,7 @@ func (l *runLog) restore(reports []*report.Report, keys []uint64, now int64) (re
 func decodeRecords(recs [][]byte, numSites, numPreds int) ([]*report.Report, error) {
 	out := make([]*report.Report, 0, len(recs))
 	for i, rec := range recs {
-		r, err := report.ReadRecord(bytes.NewReader(rec), numSites, numPreds)
+		r, _, err := report.DecodeRecord(rec, numSites, numPreds)
 		if err != nil {
 			return nil, fmt.Errorf("collector: run-log record %d: %v", i, err)
 		}

@@ -2,7 +2,6 @@ package collector
 
 import (
 	"bufio"
-	"compress/gzip"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -1129,13 +1128,14 @@ const maxBatchBytes = 64 << 20
 
 // postBodyReader wraps a write-endpoint request body: size-bounded,
 // transparently gunzipped per Content-Encoding. On a bad gzip header it
-// writes the 400 itself and returns ok=false. closer must be closed by
-// the caller when non-nil.
+// writes the 400 itself and returns ok=false. closer, when non-nil, is
+// a pooled gzip reader: the caller must close it on every path, and
+// only once nothing reads from reader any more.
 func (s *Server) postBodyReader(w http.ResponseWriter, r *http.Request) (reader *bufio.Reader, closer io.Closer, ok bool) {
 	body := http.MaxBytesReader(w, r.Body, maxBatchBytes)
 	reader = bufio.NewReader(body)
 	if r.Header.Get("Content-Encoding") == "gzip" {
-		gz, err := gzip.NewReader(reader)
+		gz, err := report.Gunzip(reader)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad gzip body: %v", err), http.StatusBadRequest)
 			return nil, nil, false
@@ -1240,9 +1240,14 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		lease.Release()
 		return
 	}
-	b := &ingestBatch{id: batchID, key: batchKey(r, batchID), reports: set.Reports, lease: lease}
+	// An arena-decoded batch already holds every report's canonical
+	// record as a span of the request body; the WAL payload and the run
+	// log both take those bytes instead of encoding the reports again.
+	b := &ingestBatch{id: batchID, key: batchKey(r, batchID), reports: set.Reports, recs: lease.Records(), lease: lease}
 	if s.cfg.WALPath != "" {
-		b.recs = encodeReports(set.Reports)
+		if b.recs == nil {
+			b.recs = encodeReports(set.Reports)
+		}
 		kind := byte(corpus.WALBatch)
 		if b.key != corpus.NoKey {
 			kind = corpus.WALKeyedBatch
@@ -1416,12 +1421,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", "application/x-cbi-delta+gzip")
 				w.Header().Set("X-CBI-State-Epoch", strconv.FormatUint(epoch, 10))
 				w.Header().Set("X-CBI-State-Version", strconv.FormatUint(to, 10))
-				gz := gzip.NewWriter(w)
-				if err := corpus.WriteDeltaSegment(gz, seg); err != nil {
-					s.cfg.Logf("collector: delta export: %v", err)
-					return
-				}
-				if err := gz.Close(); err != nil {
+				err := report.Gzip(w, func(gz io.Writer) error { return corpus.WriteDeltaSegment(gz, seg) })
+				if err != nil {
 					s.cfg.Logf("collector: delta export: %v", err)
 					return
 				}
@@ -1436,12 +1437,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-CBI-State-Epoch", strconv.FormatUint(epoch, 10))
 		w.Header().Set("X-CBI-State-Version", strconv.FormatUint(ver, 10))
 	}
-	gz := gzip.NewWriter(w)
-	if err := corpus.WriteMergeSegmentRecords(gz, snap, s.cfg.NumSites, s.cfg.NumPreds, recs, keys); err != nil {
-		s.cfg.Logf("collector: snapshot export: %v", err)
-		return
-	}
-	if err := gz.Close(); err != nil {
+	err := report.Gzip(w, func(gz io.Writer) error {
+		return corpus.WriteMergeSegmentRecords(gz, snap, s.cfg.NumSites, s.cfg.NumPreds, recs, keys)
+	})
+	if err != nil {
 		s.cfg.Logf("collector: snapshot export: %v", err)
 	}
 }

@@ -28,6 +28,12 @@ func TestSpeedPassEquivalence(t *testing.T) {
 		t.Helper()
 		cfg := serverConfig(t)
 		cfg.SnapshotPath = filepath.Join(t.TempDir(), name+".snap")
+		// One apply worker: the .runs files are compared byte for byte,
+		// and with several workers two batches acked back to back may be
+		// appended to the run log in either order. Which order the log
+		// owes a client is ROADMAP item 1's open decision, not this
+		// test's subject.
+		cfg.Workers = 1
 		srv, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bytes"
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/json"
@@ -29,8 +30,13 @@ const maxRevokeIDs = 1 << 14
 // pre-encoded records — one encoding pass for both consumers.
 func encodeReports(reports []*report.Report) [][]byte {
 	recs := make([][]byte, len(reports))
+	// AppendRecord sizes a fresh buffer for the worst case (five bytes
+	// per id); encoding through one scratch and keeping exact-size
+	// copies allocates a fifth of that.
+	var scratch []byte
 	for i, r := range reports {
-		recs[i] = report.AppendRecord(nil, r)
+		scratch = report.AppendRecord(scratch[:0], r)
+		recs[i] = bytes.Clone(scratch)
 	}
 	return recs
 }
@@ -42,9 +48,11 @@ type ingestBatch struct {
 	// key is the batch's routing-key hash (corpus.NoKey when unknown);
 	// every run in a batch shares one submitting client, hence one key.
 	key uint64
-	// recs holds each report's AppendRecord encoding when the WAL path
-	// already produced it (the WAL payload reuses the same bytes), so
-	// the apply worker doesn't encode the batch a second time.
+	// recs holds each report's canonical record when the handler
+	// already has it — wire spans of an arena-decoded body, or the
+	// encoding made for the WAL payload — so the apply worker doesn't
+	// encode the batch again. Spans alias the lease's body: valid until
+	// the lease is released.
 	recs [][]byte
 	// lease owns the arena buffers backing reports when the batch
 	// arrived via the binary HTTP codec (nil otherwise); the apply
@@ -302,7 +310,7 @@ func (s *Server) applyWALRecord(rec *corpus.WALRecord) {
 			s.rememberBatch(rec.BatchID)
 		}
 		if !covered {
-			s.agg.ApplyBatch(rec.Reports, nil, rec.Key, func(recs [][]byte) {
+			s.agg.ApplyBatch(rec.Reports, rec.Recs, rec.Key, func(recs [][]byte) {
 				s.seqs.markApplied(rec.Seq)
 				if rec.BatchID != "" {
 					s.storeBatchRecs(rec.BatchID, recs)
@@ -310,10 +318,9 @@ func (s *Server) applyWALRecord(rec *corpus.WALRecord) {
 			})
 			s.walReplayed.Add(1)
 		} else if rec.BatchID != "" {
-			// Already in the checkpoint; rebuild the revoke records so a
+			// Already in the checkpoint; restore the revoke records so a
 			// failover repair arriving after the restart still works.
-			recs := encodeReports(rec.Reports)
-			s.storeBatchRecs(rec.BatchID, recs)
+			s.storeBatchRecs(rec.BatchID, rec.Recs)
 		}
 	case corpus.WALMerge:
 		if rec.BatchID != "" {
@@ -334,7 +341,7 @@ func (s *Server) applyWALRecord(rec *corpus.WALRecord) {
 		// replayed evict) already dropped are simply not found, so the
 		// replay is idempotent and coverage marks are advisory.
 		if !covered {
-			if removed := s.agg.RemoveRecords(encodeReports(rec.Reports)); len(removed) > 0 {
+			if removed := s.agg.RemoveRecords(rec.Recs); len(removed) > 0 {
 				s.migrateEvicted.Add(int64(len(removed)))
 			}
 			s.seqs.markApplied(rec.Seq)

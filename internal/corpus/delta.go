@@ -158,13 +158,12 @@ func ReadDeltaSegment(r io.Reader) (*DeltaSegment, error) {
 				}
 				ev.Snap = snap
 			} else {
-				pr := bytes.NewReader(ev.Data)
-				rpt, err := report.ReadRecord(pr, seg.NumSites, seg.NumPreds)
+				rpt, walked, err := report.DecodeRecord(ev.Data, seg.NumSites, seg.NumPreds)
 				if err != nil {
 					return nil, fmt.Errorf("corpus: delta event %d report: %v", i, err)
 				}
-				if pr.Len() != 0 {
-					return nil, fmt.Errorf("corpus: delta event %d has %d trailing bytes", i, pr.Len())
+				if rest := len(ev.Data) - walked.Len; rest != 0 {
+					return nil, fmt.Errorf("corpus: delta event %d has %d trailing bytes", i, rest)
 				}
 				ev.Report = rpt
 			}

@@ -3,7 +3,6 @@ package corpus
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -368,17 +367,22 @@ func (snap *AggSnapshot) ApplyReport(r *report.Report, delta int64) {
 	}
 }
 
-// WriteAggSnapshotFile atomically persists the snapshot to path via a
-// temp file + rename, so a crash mid-write never clobbers the previous
-// good snapshot.
-func WriteAggSnapshotFile(path string, snap *AggSnapshot) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+// writeFileAtomic persists what fill writes to path via a temp file +
+// rename, so a crash mid-write never clobbers the previous good file.
+// With gz set the file is one gzip stream at the system's one level
+// (report.Gzip).
+func writeFileAtomic(path string, gz bool, fill func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := SaveAggSnapshot(tmp, snap); err != nil {
+	if gz {
+		err = report.Gzip(tmp, fill)
+	} else {
+		err = fill(tmp)
+	}
+	if err != nil {
 		tmp.Close()
 		return err
 	}
@@ -386,6 +390,11 @@ func WriteAggSnapshotFile(path string, snap *AggSnapshot) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
+}
+
+// WriteAggSnapshotFile atomically persists the snapshot to path.
+func WriteAggSnapshotFile(path string, snap *AggSnapshot) error {
+	return writeFileAtomic(path, false, func(w io.Writer) error { return SaveAggSnapshot(w, snap) })
 }
 
 // ReadAggSnapshotFile loads a snapshot file; a missing file returns
@@ -410,27 +419,9 @@ func RunLogPath(snapshotPath string) string { return snapshotPath + ".runs" }
 
 // WriteRunLogFile atomically persists a retained-run window as a
 // gzip-compressed binary report set (the wire codec doubles as the
-// at-rest format), via temp file + rename like WriteAggSnapshotFile.
+// at-rest format).
 func WriteRunLogFile(path string, set *report.Set) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	gz := gzip.NewWriter(tmp)
-	if err := set.MarshalBinary(gz); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := gz.Close(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return writeFileAtomic(path, true, set.MarshalBinary)
 }
 
 // WriteRunLogFileRecords is WriteRunLogFile fed directly with encoded
@@ -439,25 +430,9 @@ func WriteRunLogFile(path string, set *report.Set) error {
 // body is exactly the record concatenation — so collectors can persist
 // their window without a decode → re-encode round trip.
 func WriteRunLogFileRecords(path string, numSites, numPreds int, recs [][]byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	gz := gzip.NewWriter(tmp)
-	if err := report.MarshalRecords(gz, numSites, numPreds, recs); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := gz.Close(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return writeFileAtomic(path, true, func(w io.Writer) error {
+		return report.MarshalRecords(w, numSites, numPreds, recs)
+	})
 }
 
 // mergeSegVersion is bumped on breaking merge-segment changes.
@@ -662,70 +637,23 @@ func ReadMergeSegmentKeyed(r io.Reader) (*AggSnapshot, *report.Set, []uint64, er
 	return snap, set, keys, nil
 }
 
-// WriteCheckpointFile atomically persists a checkpoint — a snapshot
-// (including its WAL watermark) and the retained run window it
-// describes — as a single gzip-compressed merge segment via temp file +
-// rename. WAL-enabled collectors use this one-file form instead of the
-// legacy snapshot + .runs pair: with a write-ahead log in the recovery
-// path there must be no torn-pair window, because the legacy repair
-// (recount counters from the log) would disagree with WAL replay.
-func WriteCheckpointFile(path string, snap *AggSnapshot, set *report.Set) error {
-	return WriteCheckpointFileKeyed(path, snap, set, nil)
-}
-
-// WriteCheckpointFileKeyed is WriteCheckpointFile carrying per-record
-// routing-key hashes, so a restart does not lose the key stamps a
-// range migration needs (see WriteMergeSegmentKeyed).
-func WriteCheckpointFileKeyed(path string, snap *AggSnapshot, set *report.Set, keys []uint64) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	gz := gzip.NewWriter(tmp)
-	if err := WriteMergeSegmentKeyed(gz, snap, set, keys); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := gz.Close(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// WriteCheckpointFileRecords is WriteCheckpointFileKeyed fed directly
-// with encoded run-log records (see WriteMergeSegmentRecords); the
-// resulting file is byte-identical to the set-based writer over the
-// decoded reports.
+// WriteCheckpointFileRecords atomically persists a checkpoint — a
+// snapshot (including its WAL watermark) and the retained run window it
+// describes, as encoded run-log records with their routing-key hashes
+// (see WriteMergeSegmentRecords) — as a single gzip-compressed merge
+// segment. WAL-enabled collectors use this one-file form instead of
+// the legacy snapshot + .runs pair: with a write-ahead log in the
+// recovery path there must be no torn-pair window, because the legacy
+// repair (recount counters from the log) would disagree with WAL
+// replay.
 func WriteCheckpointFileRecords(path string, snap *AggSnapshot, numSites, numPreds int, recs [][]byte, keys []uint64) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	gz := gzip.NewWriter(tmp)
-	if err := WriteMergeSegmentRecords(gz, snap, numSites, numPreds, recs, keys); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := gz.Close(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return writeFileAtomic(path, true, func(w io.Writer) error {
+		return WriteMergeSegmentRecords(w, snap, numSites, numPreds, recs, keys)
+	})
 }
 
 // ReadStateFile loads a collector state file at path, which is either a
-// gzip checkpoint written by WriteCheckpointFile (checkpoint=true, the
+// gzip checkpoint written by WriteCheckpointFileRecords (checkpoint=true, the
 // run window inside the returned set) or a legacy plain-text snapshot
 // written by WriteAggSnapshotFile (checkpoint=false, set=nil; the run
 // window lives in the sibling .runs file). The two formats are
@@ -754,7 +682,7 @@ func ReadStateFileKeyed(path string) (snap *AggSnapshot, set *report.Set, keys [
 		return nil, nil, nil, false, fmt.Errorf("corpus: state file %s: %v", path, err)
 	}
 	if magic[0] == 0x1f && magic[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
+		gz, err := report.Gunzip(br)
 		if err != nil {
 			return nil, nil, nil, false, fmt.Errorf("corpus: checkpoint %s: %v", path, err)
 		}
@@ -785,7 +713,7 @@ func ReadRunLogFile(path string) (*report.Set, error) {
 		return nil, err
 	}
 	defer f.Close()
-	gz, err := gzip.NewReader(bufio.NewReader(f))
+	gz, err := report.Gunzip(bufio.NewReader(f))
 	if err != nil {
 		return nil, fmt.Errorf("corpus: run log %s: %v", path, err)
 	}

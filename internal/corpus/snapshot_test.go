@@ -162,3 +162,79 @@ func TestAggSnapshotErrors(t *testing.T) {
 		t.Error("inconsistent save: expected error")
 	}
 }
+
+// TestDefaultLevelFilesStillLoad is the at-rest half of the compression
+// policy's compatibility claim: a checkpoint and a .runs file written
+// by a stock gzip.Writer at its default level — what every collector
+// wrote before the pooled BestSpeed codec — load through the pooled
+// reader to exactly the state that was saved, the same state today's
+// writers round-trip, from files whose bytes differ.
+func TestDefaultLevelFilesStillLoad(t *testing.T) {
+	dir := t.TempDir()
+	stdGzipFile := func(name string, fill func(*gzip.Writer) error) string {
+		t.Helper()
+		var buf bytes.Buffer
+		gz := gzip.NewWriter(&buf)
+		if err := fill(gz); err != nil {
+			t.Fatal(err)
+		}
+		if err := gz.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	set := &report.Set{NumSites: 3, NumPreds: 5}
+	for i := 0; i < 300; i++ {
+		set.Reports = append(set.Reports, &report.Report{
+			Failed: i%3 == 0, ObservedSites: []int32{int32(i % 3)}, TruePreds: []int32{int32(i % 5)}})
+	}
+	recs := make([][]byte, len(set.Reports))
+	keys := make([]uint64, len(set.Reports))
+	for i, r := range set.Reports {
+		recs[i], keys[i] = report.AppendRecord(nil, r), KeyHash("client")+uint64(i)
+	}
+	snap := sampleSnap()
+	snap.NumF, snap.NumS, snap.Logged = 100, 200, 300
+	snap.WALSeq, snap.WALIslands = 41, []uint64{43, 47}
+
+	oldCkpt := stdGzipFile("old.snap", func(gz *gzip.Writer) error { return WriteMergeSegmentKeyed(gz, snap, set, keys) })
+	newCkpt := filepath.Join(dir, "new.snap")
+	if err := WriteCheckpointFileRecords(newCkpt, snap, set.NumSites, set.NumPreds, recs, keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{oldCkpt, newCkpt} {
+		gotSnap, gotSet, gotKeys, checkpoint, err := ReadStateFileKeyed(path)
+		if err != nil || !checkpoint {
+			t.Fatalf("%s: checkpoint=%v, err %v", path, checkpoint, err)
+		}
+		if !reflect.DeepEqual(gotSnap, snap) || !reflect.DeepEqual(gotSet, set) || !reflect.DeepEqual(gotKeys, keys) {
+			t.Errorf("%s: loaded state differs from what was saved", path)
+		}
+	}
+
+	oldRuns := stdGzipFile("old.snap.runs", func(gz *gzip.Writer) error { return set.MarshalBinary(gz) })
+	newRuns := filepath.Join(dir, "new.snap.runs")
+	if err := WriteRunLogFileRecords(newRuns, set.NumSites, set.NumPreds, recs); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{oldRuns, newRuns} {
+		got, err := ReadRunLogFile(path)
+		if err != nil || !reflect.DeepEqual(got, set) {
+			t.Errorf("%s: loaded %+v, err %v", path, got, err)
+		}
+	}
+
+	// The two levels really are different encodings of one stream;
+	// otherwise this test compares a file with itself.
+	for _, pair := range [][2]string{{oldCkpt, newCkpt}, {oldRuns, newRuns}} {
+		a, _ := os.ReadFile(pair[0])
+		b, _ := os.ReadFile(pair[1])
+		if bytes.Equal(a, b) {
+			t.Errorf("%s and %s are byte-identical: the levels no longer differ", pair[0], pair[1])
+		}
+	}
+}

@@ -97,12 +97,14 @@ type WALRecord struct {
 	// Reports holds the batch's runs ('B') or the merged peer's run
 	// window ('M').
 	Reports []*report.Report
-	// Recs, when non-nil on a 'B' record, holds the batch's runs
-	// already encoded with report.AppendRecord — the exact bytes the
-	// payload would contain — letting a caller that needs the encodings
-	// anyway (the collector reuses them as run-log records) pay for
-	// encoding once. Ignored on other kinds; Reports is not consulted
-	// when set.
+	// Recs, when non-nil on a batch or evict record, holds the batch's
+	// runs already encoded with report.AppendRecord — the exact bytes
+	// the payload would contain — letting a caller that has the
+	// encodings anyway (the collector uses them as run-log records) pay
+	// for encoding once; Reports is not consulted when set. A record
+	// read back carries both: Recs aligned with Reports, as spans of
+	// the payload it was read from (re-encoded only where the payload
+	// was not canonical), so replay does not encode either.
 	Recs [][]byte
 	// Snap is the merged peer's counter snapshot ('M'), or the
 	// subtracted residual counters ('D').
@@ -344,16 +346,20 @@ func ReadWALRecord(br *bufio.Reader, numSites, numPreds int) (*WALRecord, error)
 		if count > uint64(len(payload)) {
 			return nil, fmt.Errorf("corpus: WAL batch claims %d reports in %d bytes", count, len(payload))
 		}
+		rest := payload[len(payload)-pr.Len():]
 		rec.Reports = make([]*report.Report, 0, count)
+		rec.Recs = make([][]byte, 0, count)
 		for i := uint64(0); i < count; i++ {
-			r, err := report.ReadRecord(pr, numSites, numPreds)
+			r, walked, err := report.DecodeRecord(rest, numSites, numPreds)
 			if err != nil {
 				return nil, fmt.Errorf("corpus: WAL batch report %d: %v", i, err)
 			}
 			rec.Reports = append(rec.Reports, r)
+			rec.Recs = append(rec.Recs, report.CanonicalRecord(rest, walked, r))
+			rest = rest[walked.Len:]
 		}
-		if pr.Len() != 0 {
-			return nil, fmt.Errorf("corpus: WAL batch has %d trailing bytes", pr.Len())
+		if len(rest) != 0 {
+			return nil, fmt.Errorf("corpus: WAL batch has %d trailing bytes", len(rest))
 		}
 	case WALMerge:
 		snap, set, keys, err := ReadMergeSegmentKeyed(bytes.NewReader(payload))

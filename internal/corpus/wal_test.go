@@ -124,6 +124,42 @@ func TestWALRecordPreEncoded(t *testing.T) {
 	}
 }
 
+// TestWALRecordReadBackCarriesRecords pins what replay leans on: a
+// batch record read back carries each run's canonical record beside
+// its decoded report, so the collector re-applies it without encoding
+// anything — and a payload whose varints were padded (accepted, but not
+// what AppendRecord writes) still yields canonical records, never the
+// padded bytes.
+func TestWALRecordReadBackCarriesRecords(t *testing.T) {
+	reports := walSampleReports()
+	padded := []byte{0x01, 0x81, 0x00, 0x02, 0x80, 0x00} // failing, sites {2}, no preds
+	recs := [][]byte{padded}
+	for _, r := range reports {
+		recs = append(recs, report.AppendRecord(nil, r))
+	}
+	for _, kind := range []byte{WALBatch, WALKeyedBatch, WALEvict} {
+		enc, err := AppendWALRecord(nil, &WALRecord{Kind: kind, Seq: 3, Key: 99, Recs: recs}, 3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadWALRecord(bufio.NewReader(bytes.NewReader(enc)), 3, 5)
+		if err != nil {
+			t.Fatalf("kind %q: %v", kind, err)
+		}
+		if len(got.Recs) != len(recs) || len(got.Reports) != len(recs) {
+			t.Fatalf("kind %q: %d records, %d reports, want %d", kind, len(got.Recs), len(got.Reports), len(recs))
+		}
+		for i, r := range got.Reports {
+			if want := report.AppendRecord(nil, r); !bytes.Equal(got.Recs[i], want) {
+				t.Errorf("kind %q: record %d = %x, want %x", kind, i, got.Recs[i], want)
+			}
+		}
+		if r := got.Reports[0]; !r.Failed || !reflect.DeepEqual(r.ObservedSites, []int32{2}) || len(r.TruePreds) != 0 {
+			t.Errorf("kind %q: padded record decoded to %+v", kind, r)
+		}
+	}
+}
+
 func TestWALSegmentReplayRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "collector.wal.00000001")
 	w, err := CreateWALSegment(path, 3, 5, 0xfeed)

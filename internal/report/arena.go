@@ -18,8 +18,7 @@
 package report
 
 import (
-	"bufio"
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -61,27 +60,40 @@ func (a *Arena) Stats() ArenaStats {
 // Lease owns the buffers backing one arena-decoded Set.
 type Lease struct {
 	arena *Arena
-	br    *bufio.Reader
+	// body is the whole encoded batch, read in before decoding so the
+	// walker indexes bytes instead of pulling them through a reader,
+	// and so each record's wire bytes stay addressable (Records).
+	body bytes.Buffer
 	// out is the Set handed to the caller; Release severs it so the
 	// caller's pointer can never observe recycled contents.
 	out      *Set
 	reports  []Report
 	ptrs     []*Report
 	ids      []int32
-	spans    []idSpan
+	spans    []recSpan
+	recs     [][]byte
 	released bool
 }
 
-// idSpan records one report's id-list extents inside the shared slab:
-// sites occupy ids[s0:s1], preds ids[s1:p1].
-type idSpan struct {
+// recSpan records one report's extents: its ids inside the shared slab
+// (sites occupy ids[s0:s1], preds ids[s1:p1]) and its record inside
+// the body (body[b0:b1], canonical or not — see Walked).
+type recSpan struct {
 	s0, s1, p1 int
+	b0, b1     int
+	canonical  bool
 }
+
+// leaseBodySize is a fresh lease's body buffer: room for a typical
+// 64-report batch, so most bodies are read without growing it.
+const leaseBodySize = 1 << 15
 
 // Decode parses a binary-format batch using pooled buffers. On success
 // the returned Lease must be Released exactly once when the Set is no
 // longer needed; on error the workspace is recycled internally and the
-// lease is nil.
+// lease is nil. r is read to EOF before anything is decoded, so a read
+// error anywhere in the body (a truncated gzip stream, say) rejects the
+// batch.
 func (a *Arena) Decode(r io.Reader) (*Set, *Lease, error) {
 	a.decodes.Add(1)
 	var l *Lease
@@ -89,7 +101,8 @@ func (a *Arena) Decode(r io.Reader) (*Set, *Lease, error) {
 		l = v.(*Lease)
 	} else {
 		a.misses.Add(1)
-		l = &Lease{br: bufio.NewReaderSize(nil, 1<<15)}
+		l = &Lease{}
+		l.body.Grow(leaseBodySize)
 	}
 	l.arena = a
 	l.released = false
@@ -103,57 +116,57 @@ func (a *Arena) Decode(r io.Reader) (*Set, *Lease, error) {
 }
 
 func (l *Lease) decode(r io.Reader) (*Set, error) {
-	br := l.br
-	br.Reset(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	l.body.Reset()
+	if _, err := l.body.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("report: binary body: %v", err)
+	}
+	w := walker{buf: l.body.Bytes()}
+	if len(w.buf) < len(binaryMagic) {
+		err := io.ErrUnexpectedEOF
+		if len(w.buf) == 0 {
+			err = io.EOF
+		}
 		return nil, fmt.Errorf("report: binary magic: %v", err)
 	}
-	if string(magic[:]) != binaryMagic {
-		return nil, fmt.Errorf("report: bad binary magic %q", magic[:])
+	if string(w.buf[:len(binaryMagic)]) != binaryMagic {
+		return nil, fmt.Errorf("report: bad binary magic %q", w.buf[:len(binaryMagic)])
 	}
-	numSites, err := readDim(br, "numSites")
+	w.off = len(binaryMagic)
+	numSites, err := w.dim("numSites")
 	if err != nil {
 		return nil, err
 	}
-	numPreds, err := readDim(br, "numPreds")
+	numPreds, err := w.dim("numPreds")
 	if err != nil {
 		return nil, err
 	}
-	numReports, err := binary.ReadUvarint(br)
+	numReports, err := w.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("report: binary numReports: %v", err)
+	}
+	// A record is at least three bytes, so a count the body cannot hold
+	// is rejected before it sizes anything.
+	if numReports > uint64(len(w.buf)-w.off)/3 {
+		return nil, fmt.Errorf("report: binary numReports %d exceeds the %d-byte body", numReports, len(w.buf))
 	}
 	l.reports = l.reports[:0]
 	l.spans = l.spans[:0]
 	l.ids = l.ids[:0]
 	for i := uint64(0); i < numReports; i++ {
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("report: binary report %d: record flags: %v", i, err)
-		}
-		if flags > 1 {
-			return nil, fmt.Errorf("report: binary report %d: record: unknown flags %#x", i, flags)
-		}
-		var sp idSpan
-		sp.s0 = len(l.ids)
-		n, err := readListLen(br, numSites)
+		sp := recSpan{s0: len(l.ids), b0: w.off}
+		failed, err := w.flags()
 		if err == nil {
-			l.ids, err = appendDeltaList(br, numSites, n, l.ids)
+			l.ids, err = w.list(l.ids, numSites, "sites")
+			sp.s1 = len(l.ids)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("report: binary report %d: record sites: %v", i, err)
-		}
-		sp.s1 = len(l.ids)
-		n, err = readListLen(br, numPreds)
 		if err == nil {
-			l.ids, err = appendDeltaList(br, numPreds, n, l.ids)
+			l.ids, err = w.list(l.ids, numPreds, "preds")
 		}
 		if err != nil {
-			return nil, fmt.Errorf("report: binary report %d: record preds: %v", i, err)
+			return nil, fmt.Errorf("report: binary report %d: %v", i, err)
 		}
-		sp.p1 = len(l.ids)
-		l.reports = append(l.reports, Report{Failed: flags&1 != 0})
+		sp.p1, sp.b1, sp.canonical = len(l.ids), w.off, !w.overlong
+		l.reports = append(l.reports, Report{Failed: failed})
 		l.spans = append(l.spans, sp)
 	}
 	// Materialize the id sub-slices only now that the slab has stopped
@@ -176,6 +189,25 @@ func (l *Lease) decode(r io.Reader) (*Set, error) {
 	return l.out, nil
 }
 
+// Records returns the canonical record (the AppendRecord encoding) of
+// each decoded report, aligned with the Set's Reports: the report's own
+// wire bytes when those are canonical, a fresh encoding otherwise. The
+// slices alias the lease's buffers — like the Set, they are valid only
+// until Release, and a holder that retains one must copy it. A nil
+// lease has no records.
+func (l *Lease) Records() [][]byte {
+	if l == nil {
+		return nil
+	}
+	body := l.body.Bytes()
+	l.recs = l.recs[:0]
+	for i, sp := range l.spans {
+		rec := Walked{Len: sp.b1 - sp.b0, Canonical: sp.canonical}
+		l.recs = append(l.recs, CanonicalRecord(body[sp.b0:], rec, &l.reports[i]))
+	}
+	return l.recs
+}
+
 // Release severs the Set returned by Decode and recycles the lease's
 // buffers. The Set header is the one per-decode allocation precisely so
 // it can be zeroed here: a caller that erroneously reads it after
@@ -193,6 +225,8 @@ func (l *Lease) Release() {
 	for i := range l.reports {
 		l.reports[i] = Report{}
 	}
+	// Non-canonical records are separate allocations; drop them.
+	clear(l.recs)
 	a := l.arena
 	a.active.Add(-1)
 	a.pool.Put(l)

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -160,5 +161,79 @@ func TestArenaReleasedSetNeverShowsRecycledData(t *testing.T) {
 	<-done
 	if st := arena.Stats(); st.ActiveLeases != 0 {
 		t.Fatalf("active leases = %d after churn", st.ActiveLeases)
+	}
+}
+
+// TestArenaRecordsAreWireSpans: a body written by MarshalBinary is the
+// concatenation of its reports' canonical records, so the records a
+// lease hands out are views of the body it read, clipped so an append
+// cannot run into the next record; an overlong body falls back to
+// encoding.
+func TestArenaRecordsAreWireSpans(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	set := randomSet(rng, 120, 400, 25)
+	data := encodeSet(t, set)
+	var arena Arena
+	_, lease, err := arena.Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := lease.Records()
+	off := len(data)
+	for i := len(set.Reports) - 1; i >= 0; i-- {
+		want := AppendRecord(nil, set.Reports[i])
+		off -= len(want)
+		if !bytes.Equal(recs[i], want) {
+			t.Fatalf("record %d = %x, want %x", i, recs[i], want)
+		}
+		if &recs[i][0] != &lease.body.Bytes()[off] || cap(recs[i]) != len(want) {
+			t.Fatalf("record %d is not the clipped span body[%d:%d]", i, off, off+len(want))
+		}
+	}
+	lease.Release()
+
+	got, lease, err := arena.Decode(bytes.NewReader(hostileBinarySeeds()[0]))
+	if err != nil {
+		t.Fatalf("overlong body: %v", err)
+	}
+	want := AppendRecord(nil, &Report{Failed: true, ObservedSites: []int32{0, 2}, TruePreds: []int32{1}})
+	if recs := lease.Records(); len(got.Reports) != 1 || len(recs) != 1 || !bytes.Equal(recs[0], want) {
+		t.Errorf("overlong body: records %x, want [%x]", recs, want)
+	}
+	lease.Release()
+	if recs := (*Lease)(nil).Records(); recs != nil {
+		t.Errorf("nil lease has records %x", recs)
+	}
+}
+
+// failingReader yields data, then err instead of io.EOF.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if len(f.data) == 0 {
+		return 0, f.err
+	}
+	n := copy(p, f.data)
+	f.data = f.data[n:]
+	return n, nil
+}
+
+// TestArenaDecodeRejectsReadError: the body is read whole before it is
+// decoded, so a source that fails after delivering every record — a
+// gzip stream with a bad trailer — rejects the batch instead of
+// slipping through.
+func TestArenaDecodeRejectsReadError(t *testing.T) {
+	data := encodeSet(t, randomSet(rand.New(rand.NewSource(5)), 50, 90, 8))
+	var arena Arena
+	_, lease, err := arena.Decode(&failingReader{data: data, err: io.ErrUnexpectedEOF})
+	if err == nil {
+		lease.Release()
+		t.Fatal("decode succeeded over a failing reader")
+	}
+	if st := arena.Stats(); st.ActiveLeases != 0 {
+		t.Fatalf("active leases = %d after a failed decode", st.ActiveLeases)
 	}
 }

@@ -163,9 +163,11 @@ func UnmarshalBinary(r io.Reader) (*Set, error) {
 	// Each report needs at least 3 bytes on the wire; cap the
 	// preallocation so a lying header cannot force OOM or even a
 	// noticeable over-allocation before the body disproves the claim.
-	capHint := int(numReports)
-	if capHint > maxReportPrealloc {
-		capHint = maxReportPrealloc
+	// Compared as uint64: a count past MaxInt64 converts to a negative
+	// int, which would slip under the cap and panic make.
+	capHint := maxReportPrealloc
+	if numReports < maxReportPrealloc {
+		capHint = int(numReports)
 	}
 	set := &Set{NumSites: numSites, NumPreds: numPreds,
 		Reports: make([]*Report, 0, capHint)}

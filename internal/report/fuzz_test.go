@@ -21,6 +21,35 @@ func fuzzSeeds() []*Set {
 	}
 }
 
+// hostileBinarySeeds are binary bodies built to split a careless pair of
+// decoders: overlong varints (accepted, but not canonical) in every
+// position, and lengths that claim more than the body holds.
+func hostileBinarySeeds() [][]byte {
+	head := []byte("CBR1\x03\x06") // 3 sites, 6 preds
+	body := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{head}, parts...), nil) }
+	return [][]byte{
+		// One failing report, sites {0,2}, preds {1}: list lengths, a
+		// first id and a gap each padded with a zero continuation group.
+		body([]byte{0x01}, []byte{0x01, 0x82, 0x00, 0x80, 0x00, 0x82, 0x00, 0x81, 0x00, 0x81, 0x00}),
+		// Overlong report count and dimension.
+		[]byte("CBR1\x83\x00\x06\x81\x80\x00\x00\x00\x00"),
+		// A canonical report followed by an overlong one.
+		body([]byte{0x02}, []byte{0x00, 0x01, 0x01, 0x00}, []byte{0x00, 0x81, 0x00, 0x01, 0x00}),
+		// Report count far beyond the body — past MaxInt64, where the
+		// stream decoder's preallocation hint once went negative and
+		// panicked — and count one beyond it.
+		body([]byte{0xf1, 0xf1, 0xf1, 0xf1, 0xf1, 0xf1, 0xf1, 0xf1, 0xf1, 0x01}),
+		body([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, []byte{0x00, 0x00, 0x00}),
+		body([]byte{0x02}, []byte{0x00, 0x00, 0x00}),
+		// List length within the dimension but beyond the bytes left.
+		body([]byte{0x01}, []byte{0x00, 0x03, 0x00, 0x01}),
+		body([]byte{0x01}, []byte{0x00, 0x01, 0x00, 0x06, 0x00, 0x01}),
+		// An eleven-byte varint (overflow) and a varint cut short.
+		body([]byte{0x01}, []byte{0x00, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}),
+		body([]byte{0x01}, []byte{0x00, 0x01, 0x80}),
+	}
+}
+
 // FuzzReportRoundTripBinary checks the binary codec: arbitrary input
 // never panics, and any input that decodes re-encodes to a set that
 // decodes identically (decode∘encode is the identity on valid data).
@@ -73,8 +102,29 @@ func FuzzRunLogRoundTrip(f *testing.F) {
 			t.Skip()
 		}
 		rec, err := ReadRecord(bytes.NewReader(data), int(numSites), int(numPreds))
+		// The slice walker must make the same decision on the same
+		// bytes, decode the same report, and call the bytes canonical
+		// exactly when re-encoding reproduces them.
+		sliced, walked, sliceErr := DecodeRecord(data, int(numSites), int(numPreds))
+		if (err == nil) != (sliceErr == nil) {
+			t.Fatalf("stream err=%v, slice err=%v", err, sliceErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(canonReport(rec), canonReport(sliced)) {
+			t.Fatalf("slice decode differs:\nstream: %+v\nslice:  %+v", rec, sliced)
+		}
+		if canon := bytes.Equal(data[:walked.Len], AppendRecord(nil, rec)); canon != walked.Canonical {
+			t.Fatalf("record %x: Canonical=%v but re-encoding equal=%v", data[:walked.Len], walked.Canonical, canon)
+		}
+		if got := CanonicalRecord(data, walked, sliced); !bytes.Equal(got, AppendRecord(nil, rec)) {
+			t.Fatalf("canonical record %x, want %x", got, AppendRecord(nil, rec))
+		}
+		ids, nSites, failed, idsErr := AppendRecordIDs([]int32{-7}, data, int(numSites), int(numPreds))
+		if idsErr != nil || failed != rec.Failed || ids[0] != -7 ||
+			!reflect.DeepEqual(canonReport(&Report{Failed: failed, ObservedSites: ids[1 : 1+nSites], TruePreds: ids[1+nSites:]}), canonReport(rec)) {
+			t.Fatalf("AppendRecordIDs = %v (sites %d, failed %v, err %v), want %+v", ids, nSites, failed, idsErr, rec)
 		}
 		checkAscending := func(what string, ids []int32, dim uint32) {
 			prev := int32(-1)
@@ -146,6 +196,9 @@ func FuzzReportRoundTripBinaryArena(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte("CBR1"))
+	for _, seed := range hostileBinarySeeds() {
+		f.Add(seed)
+	}
 	var arena Arena
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := UnmarshalBinary(bytes.NewReader(data))
@@ -160,10 +213,26 @@ func FuzzReportRoundTripBinaryArena(f *testing.F) {
 			if !reflect.DeepEqual(canonSet(want), canonSet(got)) {
 				t.Fatalf("pass %d: arena decode differs:\nplain: %+v\narena: %+v", pass, want, got)
 			}
+			// Whatever the sender's varints looked like, the record a
+			// collector retains for report i is AppendRecord's.
+			recs := lease.Records()
+			if len(recs) != len(want.Reports) {
+				t.Fatalf("pass %d: %d records for %d reports", pass, len(recs), len(want.Reports))
+			}
+			for i, r := range want.Reports {
+				if !bytes.Equal(recs[i], AppendRecord(nil, r)) {
+					t.Fatalf("pass %d: record %d = %x, want %x", pass, i, recs[i], AppendRecord(nil, r))
+				}
+			}
 			lease.Release()
 			if got.NumSites != 0 || got.NumPreds != 0 || len(got.Reports) != 0 {
 				t.Fatalf("pass %d: released set still shows data: %+v", pass, got)
 			}
 		}
 	})
+}
+
+// canonReport normalizes nil and empty id lists for DeepEqual.
+func canonReport(r *Report) *Report {
+	return canonSet(&Set{Reports: []*Report{r}}).Reports[0]
 }

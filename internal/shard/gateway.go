@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -592,7 +591,7 @@ func (g *Gateway) fetchState(ctx context.Context, url, since string) (*shardResp
 			out.epoch, out.version, out.hasState = e, v, true
 		}
 	}
-	gz, err := gzip.NewReader(resp.Body)
+	gz, err := report.Gunzip(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot gzip: %v", err)
 	}
