@@ -18,7 +18,7 @@
 //	cbi plan [flags]                 inspect the fleet sampling plan a server serves
 //	cbi route [flags]                run a sharding router over several collectors
 //	cbi gateway [flags]              run a merging query gateway over several collectors
-//	cbi merge [flags] <snap>...      merge collector snapshots or push into a live peer
+//	cbi merge [flags] <state>...     merge collector checkpoints (or import legacy snapshots) or push into a live peer
 //	cbi resize [flags]               add or remove a collector from a live sharded ring
 //
 // Run `cbi <subcommand> -h` for per-command flags.
@@ -105,7 +105,7 @@ subcommands:
   plan                inspect the fleet sampling plan a server serves
   route               run a sharding router in front of several collectors
   gateway             run a merging query gateway over several collectors
-  merge               merge collector snapshots offline or push into a live peer
+  merge               merge collector checkpoints offline (importing legacy snapshots) or push into a live peer
   resize              add or remove a collector from a live sharded ring
 `)
 }

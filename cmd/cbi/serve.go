@@ -59,10 +59,9 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", ":7575", "listen address")
 	subject := fs.String("subject", "", "built-in subject fixing the predicate universe")
 	program := fs.String("program", "", "MiniC source file fixing the predicate universe")
-	snapshot := fs.String("snapshot", "", "snapshot file (restored on start, persisted periodically)")
-	snapshotEvery := fs.Duration("snapshot-every", 30*time.Second, "periodic snapshot interval")
+	snapshot := fs.String("snapshot", "", "state file: one checkpoint (restored on start, rewritten every -checkpoint-every and on shutdown)")
 	wal := fs.String("wal", "", "write-ahead log base path (segments at <base>.NNNNNNNN; requires -snapshot)")
-	checkpointEvery := fs.Duration("checkpoint-every", 0, "checkpoint interval with -wal (0 = -snapshot-every)")
+	checkpointEvery := fs.Duration("checkpoint-every", 30*time.Second, "checkpoint interval; with -wal each checkpoint prunes the log it covers")
 	queueSize := fs.Int("queue", 256, "ingest queue bound in batches (backpressure beyond)")
 	shards := fs.Int("shards", 16, "aggregate counter stripes")
 	runlog := fs.Int("runlog", 0, "run-log retention cap in runs (0 = default 262144, negative disables /v1/predictors)")
@@ -111,7 +110,6 @@ func cmdServe(args []string) error {
 		RateLimit:       *rateLimit,
 		RateBurst:       *rateBurst,
 		SnapshotPath:    *snapshot,
-		SnapshotEvery:   *snapshotEvery,
 		WALPath:         *wal,
 		CheckpointEvery: *checkpointEvery,
 		PlanEvery:       *planEvery,

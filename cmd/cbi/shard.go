@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bufio"
+	"compress/gzip"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -133,12 +136,100 @@ func cmdGateway(args []string) error {
 	return serveUntilSignal(*addr, g.Handler(), nil)
 }
 
-// cmdMerge folds collector state files together offline, or pushes one
-// collector's saved state into a live peer's /v1/merge — the reducer
-// step of a sharded deployment.
+// shardState is one collector's saved state as cbi merge reads it:
+// counters, retained window, and the window's routing keys (nil when
+// the file carries none).
+type shardState struct {
+	snap *corpus.AggSnapshot
+	set  *report.Set
+	keys []uint64
+}
+
+// readShardState loads one cbi merge input: a checkpoint, or the
+// pre-checkpoint snapshot + .runs pair this command imports. The WAL
+// watermark is dropped either way — a merged or pushed state anchors no
+// log.
+func readShardState(path string) (shardState, error) {
+	snap, set, keys, err := corpus.ReadCheckpointFile(path)
+	if errors.Is(err, gzip.ErrHeader) {
+		snap, set, err = readLegacyPair(path)
+	}
+	if err != nil {
+		return shardState{}, err
+	}
+	if snap == nil {
+		return shardState{}, fmt.Errorf("%s: no such state file", path)
+	}
+	snap.WALSeq, snap.WALIslands = 0, nil
+	return shardState{snap, set, keys}, nil
+}
+
+// readLegacyPair loads the on-disk format collectors wrote before the
+// checkpoint: a plain-text counter snapshot and, beside it, the run
+// window as a gzip'd report set at <path>.runs (absent when retention
+// was off — the counters then import with an empty window). The two
+// files were written one after the other, so a crash between them left
+// a torn pair; the log is the source of truth then. The snapshot's
+// LOGGED line (a version-1 file has none: its run total stands in)
+// says how many runs its companion log held, and when that is not the
+// sidecar's length the counters are recounted from the log.
+func readLegacyPair(path string) (*corpus.AggSnapshot, *report.Set, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	snap, err := corpus.LoadAggSnapshot(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %v", path, err)
+	}
+	runs := path + ".runs"
+	rf, err := os.Open(runs)
+	if os.IsNotExist(err) {
+		return snap, &report.Set{NumSites: snap.NumSites, NumPreds: snap.NumPreds}, nil
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	defer rf.Close()
+	gz, err := report.Gunzip(bufio.NewReader(rf))
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %v", runs, err)
+	}
+	defer gz.Close()
+	set, err := report.UnmarshalBinary(gz)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %v", runs, err)
+	}
+	if set.NumSites != snap.NumSites || set.NumPreds != snap.NumPreds {
+		return nil, nil, fmt.Errorf("%s: run log dimensions %dx%d do not match snapshot %dx%d",
+			runs, set.NumSites, set.NumPreds, snap.NumSites, snap.NumPreds)
+	}
+	logged := snap.Logged
+	if logged < 0 {
+		logged = snap.NumF + snap.NumS
+	}
+	if logged != int64(len(set.Reports)) {
+		log.Printf("merge: %s claims %d logged runs but %s holds %d; recounting the counters from the log",
+			path, logged, runs, len(set.Reports))
+		recount := corpus.NewAggSnapshot(snap.NumSites, snap.NumPreds)
+		recount.Fingerprint = snap.Fingerprint
+		for _, r := range set.Reports {
+			recount.ApplyReport(r, +1)
+		}
+		snap = recount
+	}
+	return snap, set, nil
+}
+
+// cmdMerge folds collector state files together offline into one
+// checkpoint, or pushes each saved state into a live peer's /v1/merge —
+// the reducer step of a sharded deployment. Inputs are checkpoints or
+// legacy snapshot + .runs pairs, so `cbi merge -o new old` is also the
+// one-shot importer for state written before the checkpoint format.
 func cmdMerge(args []string) error {
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
-	out := fs.String("o", "", "write the merged snapshot (and run log) to this path")
+	out := fs.String("o", "", "write the merged checkpoint to this path")
 	push := fs.String("push", "", "POST each input as a merge segment to this collector base URL")
 	key := fs.String("key", "", "API key for -push against collectors that require one")
 	if err := fs.Parse(args); err != nil {
@@ -146,30 +237,19 @@ func cmdMerge(args []string) error {
 	}
 	paths := fs.Args()
 	if len(paths) == 0 {
-		return fmt.Errorf("usage: cbi merge [-o merged.snap | -push URL] <snapshot>...")
+		return fmt.Errorf("usage: cbi merge [-o merged.snap | -push URL] <state file>...")
 	}
 	if (*out == "") == (*push == "") {
 		return fmt.Errorf("merge: exactly one of -o or -push is required")
 	}
 
-	type state struct {
-		snap *corpus.AggSnapshot
-		set  *report.Set
-	}
-	var states []state
+	var states []shardState
 	for _, p := range paths {
-		snap, err := corpus.ReadAggSnapshotFile(p)
+		st, err := readShardState(p)
 		if err != nil {
-			return fmt.Errorf("merge: %s: %v", p, err)
+			return fmt.Errorf("merge: %v", err)
 		}
-		set, err := corpus.ReadRunLogFile(corpus.RunLogPath(p))
-		if err != nil {
-			if !os.IsNotExist(err) {
-				return fmt.Errorf("merge: %s: %v", corpus.RunLogPath(p), err)
-			}
-			set = &report.Set{NumSites: snap.NumSites, NumPreds: snap.NumPreds}
-		}
-		states = append(states, state{snap, set})
+		states = append(states, st)
 	}
 
 	if *push != "" {
@@ -191,22 +271,24 @@ func cmdMerge(args []string) error {
 	}
 
 	merged := corpus.NewAggSnapshot(states[0].snap.NumSites, states[0].snap.NumPreds)
-	set := &report.Set{NumSites: merged.NumSites, NumPreds: merged.NumPreds}
+	var recs [][]byte
+	var keys []uint64
 	for i, st := range states {
 		if err := corpus.MergeAggSnapshot(merged, st.snap); err != nil {
 			return fmt.Errorf("merge: %s: %v", paths[i], err)
 		}
-		set.Reports = append(set.Reports, st.set.Reports...)
+		recs = append(recs, report.EncodeRecords(st.set.Reports)...)
+		if st.keys == nil {
+			st.keys = make([]uint64, len(st.set.Reports)) // corpus.NoKey each
+		}
+		keys = append(keys, st.keys...)
 	}
-	merged.Logged = int64(len(set.Reports))
-	if err := corpus.WriteRunLogFile(corpus.RunLogPath(*out), set); err != nil {
+	merged.Logged = int64(len(recs))
+	if err := corpus.WriteCheckpointFileRecords(*out, merged, merged.NumSites, merged.NumPreds, recs, keys); err != nil {
 		return err
 	}
-	if err := corpus.WriteAggSnapshotFile(*out, merged); err != nil {
-		return err
-	}
-	fmt.Printf("merged %d snapshots: %d runs of counters (%d failing), %d logged runs -> %s\n",
-		len(states), merged.NumF+merged.NumS, merged.NumF, len(set.Reports), *out)
+	fmt.Printf("merged %d state files: %d runs of counters (%d failing), %d logged runs -> %s\n",
+		len(states), merged.NumF+merged.NumS, merged.NumF, len(recs), *out)
 	return nil
 }
 

@@ -833,9 +833,9 @@ func (a *shardedAgg) RestoreLog(reports []*report.Report, keys []uint64) (retain
 }
 
 // RecountFromLog rebuilds every counter from the retained run log —
-// the log is the source of truth whenever the two disagree (e.g. a
-// crash tore the snapshot pair). Callers must ensure no concurrent
-// Apply.
+// the log is the source of truth when a restart's retention caps kept
+// less of the window than the restored counters describe. Callers must
+// ensure no concurrent Apply.
 func (a *shardedAgg) RecountFromLog() error {
 	a.gate.Lock()
 	defer a.gate.Unlock()
@@ -967,8 +967,8 @@ func (a *shardedAgg) ExportChunk(ranges []corpus.KeyRange, sinceSeq uint64, max 
 
 // ComputeResidual returns the counters not explained by the retained
 // run window — merged-in state whose own windows had already evicted
-// runs, or legacy restores without a log. It is read-only: a drain
-// controller fetches the residual, delivers it to a successor as a
+// runs, or imported counters that came without a log. It is read-only:
+// a drain controller fetches the residual, delivers it to a successor as a
 // counters-only merge (idempotent under a deterministic batch id), and
 // only then commits the subtraction here via SubtractSnapshot — so a
 // crash at any point re-computes the identical residual (the shard is

@@ -161,9 +161,9 @@ func TestUncountMatchesBump(t *testing.T) {
 			bumped.bump(r, -1)
 		}
 		batched := build(len(reports))
-		batched.uncount(encodeReports(reports[keep:]))
+		batched.uncount(report.EncodeRecords(reports[keep:]))
 		single := build(len(reports))
-		for _, rec := range encodeReports(reports[keep:]) {
+		for _, rec := range report.EncodeRecords(reports[keep:]) {
 			single.uncount([][]byte{rec})
 		}
 		for name, got := range map[string]*shardedAgg{"bump": bumped, "batched uncount": batched, "single uncount": single} {

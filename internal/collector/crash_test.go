@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,17 +84,9 @@ func rawViews(t *testing.T, srv *Server) (scores, preds []byte) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	get := func(path string) []byte {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
+		code, body := getBody(t, ts.URL+path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, code)
 		}
 		return body
 	}
@@ -120,9 +113,9 @@ func refViews(t *testing.T, batches [][]*report.Report) (scores, preds []byte) {
 func batchID(i int) string { return fmt.Sprintf("batch-%03d", i) }
 
 // runToCrash feeds batches through a WAL-enabled collector with a
-// checkpoint after batch ckptAt, letting hooks capture the state dir,
-// and returns the captured copy.
-func runToCrash(t *testing.T, cfg Config, batches [][]*report.Report, ckptAt int, copied *string) {
+// checkpoint after each batch in ckptAt, letting hooks capture the
+// state dir into *copied.
+func runToCrash(t *testing.T, cfg Config, batches [][]*report.Report, copied *string, ckptAt ...int) {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
@@ -133,7 +126,7 @@ func runToCrash(t *testing.T, cfg Config, batches [][]*report.Report, ckptAt int
 		if err := srv.IngestBatch(batchID(i), b); err != nil {
 			t.Fatal(err)
 		}
-		if i == ckptAt {
+		if slices.Contains(ckptAt, i) {
 			if err := srv.SnapshotNow(); err != nil {
 				t.Fatal(err)
 			}
@@ -188,48 +181,34 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 
 	// Crash before the target batch's WAL record exists: recovery holds
 	// everything up to (not including) it, and the client retry applies.
-	t.Run("pre-wal-append", func(t *testing.T) {
-		dir := t.TempDir()
-		cfg := crashConfig(t, dir)
-		var copied string
-		appends := 0
-		cfg.walHook = func(stage string) {
-			if stage != "pre-append" {
-				return
+	// Crash after the WAL append but before the apply/ack: the record is
+	// durable, so recovery includes it and the retry dedups.
+	for _, tc := range []struct {
+		name, stage string
+		durable     int
+	}{{"pre-wal-append", "pre-append", target}, {"post-append-pre-ack", "post-append", target + 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := crashConfig(t, dir)
+			var copied string
+			appends := 0
+			cfg.walHook = func(stage string) {
+				if stage != tc.stage {
+					return
+				}
+				if appends == target {
+					copied = copyTree(t, dir)
+				}
+				appends++
 			}
-			if appends == target {
-				copied = copyTree(t, dir)
+			runToCrash(t, cfg, batches, &copied, ckptAt)
+			srv := checkRecovered(t, copied, batches, tc.durable, target)
+			defer srv.Close()
+			if got := srv.StatsNow().WALReplayed; got != int64(tc.durable-ckptAt-1) {
+				t.Errorf("replayed %d WAL records, want %d (checkpoint covers the rest)", got, tc.durable-ckptAt-1)
 			}
-			appends++
-		}
-		runToCrash(t, cfg, batches, ckptAt, &copied)
-		srv := checkRecovered(t, copied, batches, target, target)
-		defer srv.Close()
-		if got := srv.StatsNow().WALReplayed; got != int64(target-ckptAt-1) {
-			t.Errorf("replayed %d WAL records, want %d (checkpoint covers the rest)", got, target-ckptAt-1)
-		}
-	})
-
-	// Crash after the WAL append but before the apply/ack: the record
-	// is durable, so recovery includes it and the retry dedups.
-	t.Run("post-append-pre-ack", func(t *testing.T) {
-		dir := t.TempDir()
-		cfg := crashConfig(t, dir)
-		var copied string
-		appends := 0
-		cfg.walHook = func(stage string) {
-			if stage != "post-append" {
-				return
-			}
-			if appends == target {
-				copied = copyTree(t, dir)
-			}
-			appends++
-		}
-		runToCrash(t, cfg, batches, ckptAt, &copied)
-		srv := checkRecovered(t, copied, batches, target+1, target)
-		defer srv.Close()
-	})
+		})
+	}
 
 	// Crash as a second checkpoint begins: disk still holds the first
 	// checkpoint plus the full WAL tail. Nothing acked is lost.
@@ -247,27 +226,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			}
 			ckpts++
 		}
-		srv0, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, b := range batches {
-			if err := srv0.IngestBatch(batchID(i), b); err != nil {
-				t.Fatal(err)
-			}
-			if i == ckptAt {
-				if err := srv0.SnapshotNow(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := srv0.SnapshotNow(); err != nil { // the interrupted checkpoint
-			t.Fatal(err)
-		}
-		srv0.Close()
-		if copied == "" {
-			t.Fatal("checkpoint hook never fired")
-		}
+		runToCrash(t, cfg, batches, &copied, ckptAt, len(batches)-1) // the second is interrupted
 		srv := checkRecovered(t, copied, batches, len(batches), -1)
 		defer srv.Close()
 		if got := srv.StatsNow().WALReplayed; got != int64(len(batches)-ckptAt-1) {
@@ -277,42 +236,33 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 
 	// Crash after the checkpoint file is committed but before the WAL
 	// is pruned: replay finds every record already covered and must not
-	// double-apply any of them.
-	t.Run("post-checkpoint-pre-truncate", func(t *testing.T) {
-		dir := t.TempDir()
-		cfg := crashConfig(t, dir)
-		var copied string
-		cfg.checkpointHook = func(stage string) {
-			if stage == "committed" && copied == "" {
-				copied = copyTree(t, dir)
+	// double-apply any of them (the retry of batch 3 dedups). Crash after
+	// the checkpoint fully completed (WAL pruned): clean recovery from
+	// the checkpoint alone. No retry check there: pruning also discards
+	// the batch ids, so the dedup horizon is the unpruned WAL — retries of
+	// long-acked batches are the client's non-problem (it has the ack),
+	// not the recovery path's.
+	for _, tc := range []struct {
+		name, stage string
+		retry       int
+	}{{"post-checkpoint-pre-truncate", "committed", 3}, {"post-checkpoint", "done", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := crashConfig(t, dir)
+			var copied string
+			cfg.checkpointHook = func(stage string) {
+				if stage == tc.stage && copied == "" {
+					copied = copyTree(t, dir)
+				}
 			}
-		}
-		runToCrash(t, cfg, batches, len(batches)-1, &copied)
-		srv := checkRecovered(t, copied, batches, len(batches), 3)
-		defer srv.Close()
-		if got := srv.StatsNow().WALReplayed; got != 0 {
-			t.Errorf("replayed %d WAL records past a covering checkpoint; all were covered", got)
-		}
-	})
-
-	// Crash after the checkpoint fully completed (WAL pruned): clean
-	// recovery from the checkpoint alone. No retry check here: pruning
-	// also discards the batch ids, so the dedup horizon is the unpruned
-	// WAL — retries of long-acked batches are the client's non-problem
-	// (it has the ack), not the recovery path's.
-	t.Run("post-checkpoint", func(t *testing.T) {
-		dir := t.TempDir()
-		cfg := crashConfig(t, dir)
-		var copied string
-		cfg.checkpointHook = func(stage string) {
-			if stage == "done" && copied == "" {
-				copied = copyTree(t, dir)
+			runToCrash(t, cfg, batches, &copied, len(batches)-1)
+			srv := checkRecovered(t, copied, batches, len(batches), tc.retry)
+			defer srv.Close()
+			if got := srv.StatsNow().WALReplayed; got != 0 {
+				t.Errorf("replayed %d WAL records past a covering checkpoint; all were covered", got)
 			}
-		}
-		runToCrash(t, cfg, batches, len(batches)-1, &copied)
-		srv := checkRecovered(t, copied, batches, len(batches), -1)
-		defer srv.Close()
-	})
+		})
+	}
 }
 
 // TestCrashTornWALTail doctors the frozen WAL the way a torn write
@@ -353,42 +303,29 @@ func TestCrashTornWALTail(t *testing.T) {
 		return segs[len(segs)-1].Path
 	}
 
-	t.Run("truncated", func(t *testing.T) {
-		dir := freeze(t)
-		seg := lastSegment(t, dir)
-		fi, err := os.Stat(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Cut into (but not past) the final record: the last batch is
-		// torn, everything before it intact.
-		if err := os.Truncate(seg, fi.Size()-5); err != nil {
-			t.Fatal(err)
-		}
-		srv := checkRecovered(t, dir, batches, len(batches)-1, len(batches)-1)
-		defer srv.Close()
-		if got := srv.StatsNow().WALTornTails; got != 1 {
-			t.Errorf("WALTornTails = %d, want 1", got)
-		}
-	})
-
-	t.Run("corrupted", func(t *testing.T) {
-		dir := freeze(t)
-		seg := lastSegment(t, dir)
-		data, err := os.ReadFile(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)-5] ^= 0x20 // flip a bit inside the last record
-		if err := os.WriteFile(seg, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		srv := checkRecovered(t, dir, batches, len(batches)-1, len(batches)-1)
-		defer srv.Close()
-		if got := srv.StatsNow().WALTornTails; got != 1 {
-			t.Errorf("WALTornTails = %d, want 1", got)
-		}
-	})
+	// Cut into (but not past) the final record, or flip a bit inside it:
+	// the last batch is torn, everything before it intact.
+	for name, damage := range map[string]func(data []byte) []byte{
+		"truncated": func(data []byte) []byte { return data[:len(data)-5] },
+		"corrupted": func(data []byte) []byte { data[len(data)-5] ^= 0x20; return data },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := freeze(t)
+			seg := lastSegment(t, dir)
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(seg, damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv := checkRecovered(t, dir, batches, len(batches)-1, len(batches)-1)
+			defer srv.Close()
+			if got := srv.StatsNow().WALTornTails; got != 1 {
+				t.Errorf("WALTornTails = %d, want 1", got)
+			}
+		})
+	}
 
 	// A torn segment that is not the newest means acked data is gone;
 	// boot must refuse rather than silently lose it. Build the two
@@ -509,9 +446,9 @@ func TestCrashCheckpointIslands(t *testing.T) {
 	ts.Close()
 	srv.Close()
 
-	snap, _, isCheckpoint, err := corpus.ReadStateFile(filepath.Join(copied, "collector.snap"))
-	if err != nil || !isCheckpoint {
-		t.Fatalf("reading frozen checkpoint: %v (checkpoint=%v)", err, isCheckpoint)
+	snap, _, _, err := corpus.ReadCheckpointFile(filepath.Join(copied, "collector.snap"))
+	if err != nil || snap == nil {
+		t.Fatalf("reading frozen checkpoint: %v (snap %v)", err, snap)
 	}
 	if snap.WALSeq != 0 || !reflect.DeepEqual(snap.WALIslands, []uint64{2}) {
 		t.Fatalf("checkpoint coverage = watermark %d islands %v, want 0 + [2]",
@@ -547,6 +484,59 @@ func TestCrashCheckpointIslands(t *testing.T) {
 	if !bytes.Equal(gotScores, wantScores) || !bytes.Equal(gotPreds, wantPreds) {
 		t.Fatal("island recovery diverges from the never-killed apply order")
 	}
+}
+
+// TestCrashInterleavedCheckpoints overlaps two checkpoints the way the
+// ticker, the public SnapshotNow and shutdown can: A captures its
+// watermark and is parked, more batches are acked, B is started. Unless
+// B waits for A, B renames and prunes the WAL through the later
+// watermark and A's rename then lands a state file whose log is gone:
+// the batches between the two watermarks are lost on the next crash.
+func TestCrashInterleavedCheckpoints(t *testing.T) {
+	_, batches := crashBatches(t)
+	half := len(batches) / 2
+	dir := t.TempDir()
+	cfg := crashConfig(t, dir)
+	var srv *Server
+	var bDone chan error
+	cfg.checkpointHook = func(stage string) {
+		if stage != "captured" || bDone != nil {
+			return
+		}
+		for i := half; i < len(batches); i++ {
+			if err := srv.IngestBatch(batchID(i), batches[i]); err != nil {
+				t.Error(err)
+			}
+		}
+		bDone = make(chan error, 1)
+		go func(done chan<- error) { done <- srv.SnapshotNow() }(bDone)
+		select {
+		case err := <-bDone:
+			t.Errorf("checkpoint B ran to completion (err %v) while A was between capture and rename", err)
+			bDone <- err
+		case <-time.After(200 * time.Millisecond): // B is waiting its turn
+		}
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < half; i++ {
+		if err := srv.IngestBatch(batchID(i), batches[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.SnapshotNow(); err != nil { // checkpoint A
+		t.Fatal(err)
+	}
+	if bDone == nil {
+		t.Fatal("checkpoint hook never reached the captured stage")
+	} else if err := <-bDone; err != nil {
+		t.Fatal(err)
+	}
+	copied := copyTree(t, dir)
+	srv.Close()
+	checkRecovered(t, copied, batches, len(batches), -1).Close()
 }
 
 // TestRevokeEndpoint exercises the failover double-count repair: a

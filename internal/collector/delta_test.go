@@ -41,7 +41,7 @@ func fetchState(t *testing.T, url, since string) (snap *corpus.AggSnapshot, set 
 		}
 		return nil, nil, delta, epoch, ver
 	}
-	snap, set, err = corpus.ReadMergeSegment(gz)
+	snap, set, _, err = corpus.ReadMergeSegmentKeyed(gz)
 	if err != nil {
 		t.Fatal(err)
 	}

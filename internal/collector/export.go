@@ -153,13 +153,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	reports, err := decodeRecords(chunk.recs, s.cfg.NumSites, s.cfg.NumPreds)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	chunk.snap.Fingerprint = s.cfg.Fingerprint
-	set := &report.Set{NumSites: s.cfg.NumSites, NumPreds: s.cfg.NumPreds, Reports: reports}
 
 	w.Header().Set("Content-Type", "application/x-cbi-merge+gzip")
 	w.Header().Set("X-CBI-Export-Epoch", strconv.FormatUint(chunk.epoch, 10))
@@ -167,7 +161,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-CBI-Export-Remaining", strconv.Itoa(chunk.remaining))
 	cw := &countingWriter{w: w}
 	err = report.Gzip(cw, func(gz io.Writer) error {
-		return corpus.WriteMergeSegmentKeyed(gz, chunk.snap, set, chunk.keys)
+		return corpus.WriteMergeSegmentRecords(gz, chunk.snap, s.cfg.NumSites, s.cfg.NumPreds, chunk.recs, chunk.keys)
 	})
 	if err != nil {
 		s.cfg.Logf("collector: export chunk: %v", err)
@@ -216,7 +210,7 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 			snap.NumSites, snap.NumPreds, s.cfg.NumSites, s.cfg.NumPreds), http.StatusBadRequest)
 		return
 	}
-	removed := s.agg.RemoveRecords(encodeReports(set.Reports))
+	removed := s.agg.RemoveRecords(report.EncodeRecords(set.Reports))
 	if len(removed) > 0 {
 		s.migrateEvicted.Add(int64(len(removed)))
 		if s.cfg.WALPath != "" {
@@ -277,7 +271,7 @@ func (s *Server) handleResidual(w http.ResponseWriter, r *http.Request) {
 		if closer != nil {
 			defer closer.Close()
 		}
-		snap, _, err := corpus.ReadMergeSegment(reader)
+		snap, _, _, err := corpus.ReadMergeSegmentKeyed(reader)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad residual segment: %v", err), http.StatusBadRequest)
 			return

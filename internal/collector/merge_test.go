@@ -35,7 +35,7 @@ func fetchSegment(t *testing.T, ts *httptest.Server) ([]byte, *corpus.AggSnapsho
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, set, err := corpus.ReadMergeSegment(gz)
+	snap, set, _, err := corpus.ReadMergeSegmentKeyed(gz)
 	if err != nil {
 		t.Fatal(err)
 	}

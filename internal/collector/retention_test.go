@@ -1,18 +1,12 @@
 package collector
 
 import (
-	"bytes"
 	"context"
-	"io"
-	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
-
-	"cbi/internal/corpus"
 )
 
 // fakeClock is an injectable retention clock.
@@ -117,83 +111,5 @@ func TestRunLogAgeSweep(t *testing.T) {
 			t.Fatalf("sweep never evicted: %d runs / %d logged still retained", st.Runs, st.RunLogRuns)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestCorruptSnapshotRecount is the torn-pair repair property: the
-// counter snapshot on disk is corrupted (counters and LOGGED tampered,
-// as a torn write would leave them), and on restart the collector must
-// notice the disagreement and rebuild the counters from the run log —
-// serving /v1/scores and /v1/predictors bit-for-bit identical to what
-// it served before the kill.
-func TestCorruptSnapshotRecount(t *testing.T) {
-	res := testCorpus(t)
-	in := res.CoreInput()
-	cfg := serverConfig(t)
-	cfg.SnapshotPath = filepath.Join(t.TempDir(), "collector.snap")
-
-	srv1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range in.Set.Reports[:400] {
-		srv1.Ingest(r)
-	}
-	if err := srv1.SnapshotNow(); err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(srv1.Handler())
-	raw := func(ts *httptest.Server, path string) []byte {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
-	scoresBefore := raw(ts1, "/v1/scores?k=25")
-	predsBefore := raw(ts1, "/v1/predictors?k=25&affinity=4")
-	ts1.Close()
-	if err := srv1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt the counter snapshot the way a torn write would: counters
-	// drifted from the log the file claims to accompany.
-	snap, err := corpus.ReadAggSnapshotFile(cfg.SnapshotPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.NumF += 7
-	snap.FPred[len(snap.FPred)/2] += 100
-	snap.SobsSite[0] += 13
-	snap.Logged -= 3
-	if err := corpus.WriteAggSnapshotFile(cfg.SnapshotPath, snap); err != nil {
-		t.Fatal(err)
-	}
-
-	srv2, err := New(cfg)
-	if err != nil {
-		t.Fatalf("restart on corrupt snapshot: %v", err)
-	}
-	defer srv2.Close()
-	if st := srv2.StatsNow(); st.Runs != 400 || st.RunLogRuns != 400 {
-		t.Fatalf("recounted state = %d runs / %d logged, want 400/400", st.Runs, st.RunLogRuns)
-	}
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	if got := raw(ts2, "/v1/scores?k=25"); !bytes.Equal(got, scoresBefore) {
-		t.Fatalf("recounted /v1/scores differs:\nbefore: %s\nafter:  %s", scoresBefore, got)
-	}
-	if got := raw(ts2, "/v1/predictors?k=25&affinity=4"); !bytes.Equal(got, predsBefore) {
-		t.Fatalf("recounted /v1/predictors differs:\nbefore: %s\nafter:  %s", predsBefore, got)
 	}
 }

@@ -97,21 +97,19 @@ type Config struct {
 	Workers int
 	// Shards is the number of counter stripes (default 16).
 	Shards int
-	// SnapshotPath, when set, is where periodic snapshots persist; an
-	// existing snapshot is restored on startup.
+	// SnapshotPath, when set, is the collector's one state file: a
+	// checkpoint (counters + retained window + routing keys + WAL
+	// watermark in a single atomically renamed file) written every
+	// CheckpointEvery and on Shutdown, and restored on startup.
 	SnapshotPath string
-	// SnapshotEvery is the snapshot period (0 = only on Shutdown).
-	SnapshotEvery time.Duration
 	// WALPath, when set, enables the write-ahead log: every accepted
 	// batch, merge, and revoke is appended to the current WAL segment
 	// (<WALPath>.<n>) before it is acked, shrinking the
-	// acked-but-unsnapshotted loss window to ~zero. Requires
-	// SnapshotPath: periodic snapshots become checkpoints (a single
-	// atomic state file) that rotate and prune the log, and boot replays
-	// the WAL records the checkpoint does not cover.
+	// acked-but-uncheckpointed loss window to ~zero. Requires
+	// SnapshotPath: each checkpoint rotates and prunes the log it
+	// covers, and boot replays the WAL records the checkpoint does not.
 	WALPath string
-	// CheckpointEvery is the checkpoint period when the WAL is enabled
-	// (default: SnapshotEvery, or 30s when that is unset).
+	// CheckpointEvery is the checkpoint period (default 30s).
 	CheckpointEvery time.Duration
 	// DeltaHistory caps the in-memory state-mutation history backing
 	// incremental GET /v1/snapshot?since= responses, in events (0 =
@@ -142,7 +140,7 @@ type Config struct {
 	// directory at exact durability boundaries.
 	walHook func(stage string)
 	// checkpointHook, when set (tests only), runs at checkpoint stages
-	// ("begin", "committed", "done").
+	// ("begin", "captured", "committed", "done").
 	checkpointHook func(stage string)
 }
 
@@ -277,6 +275,10 @@ type Server struct {
 	walBroken bool         // an un-repairable append failure poisoned the log
 	seqs      seqTracker
 
+	// ckptMu serializes checkpoints (capture → write → rename → prune);
+	// see SnapshotNow.
+	ckptMu sync.Mutex
+
 	workers sync.WaitGroup
 	bg      sync.WaitGroup
 	die     chan struct{} // closed by Close (hard kill)
@@ -400,18 +402,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.WALPath != "" {
-		if cfg.SnapshotPath == "" {
-			return nil, fmt.Errorf("collector: WALPath requires SnapshotPath (checkpoints anchor WAL replay)")
-		}
-		if cfg.CheckpointEvery <= 0 {
-			if cfg.SnapshotEvery > 0 {
-				cfg.CheckpointEvery = cfg.SnapshotEvery
-			} else {
-				cfg.CheckpointEvery = 30 * time.Second
-			}
-		}
-		cfg.SnapshotEvery = cfg.CheckpointEvery
+	if cfg.WALPath != "" && cfg.SnapshotPath == "" {
+		return nil, fmt.Errorf("collector: WALPath requires SnapshotPath (checkpoints anchor WAL replay)")
+	}
+	if cfg.CheckpointEvery <= 0 {
+		cfg.CheckpointEvery = 30 * time.Second
 	}
 
 	s := &Server{
@@ -456,7 +451,7 @@ func New(cfg Config) (*Server, error) {
 		s.workers.Add(1)
 		go s.applyLoop()
 	}
-	if cfg.SnapshotPath != "" && cfg.SnapshotEvery > 0 {
+	if cfg.SnapshotPath != "" {
 		s.bg.Add(1)
 		go s.snapshotLoop()
 	}
@@ -496,7 +491,7 @@ func (s *Server) initMetrics() {
 	s.reportsApplied = m.Counter("cbi_collector_reports_applied_total",
 		"Individual run reports folded into the aggregate counters.")
 	s.snapshots = m.Counter("cbi_collector_snapshots_total",
-		"Snapshot+run-log pairs persisted to disk.")
+		"Checkpoints persisted to disk.")
 	s.authRejected = m.Counter("cbi_collector_auth_rejected_total",
 		"Write requests rejected with 401 (missing or invalid API key).")
 	s.mergesAccepted = m.Counter("cbi_collector_merges_accepted_total",
@@ -562,7 +557,7 @@ func (s *Server) initMetrics() {
 	s.exportPending = m.Gauge("cbi_collector_export_pending_runs",
 		"Matching runs still awaiting export past the watermark, as of the last /v1/export — the migration-lag signal.")
 	s.snapshotSeconds = m.Histogram("cbi_collector_snapshot_write_seconds",
-		"Wall time to persist one snapshot+run-log pair, in seconds.", nil)
+		"Wall time to persist one checkpoint, in seconds.", nil)
 
 	m.GaugeFunc("cbi_collector_queue_depth",
 		"Report batches waiting on the ingest queue.",
@@ -733,19 +728,15 @@ func (s *Server) SetAPIKeys(keys []string) {
 	s.cfg.Logf("collector: API key set reloaded (%d keys)", len(cp))
 }
 
-// restore loads durable state from cfg.SnapshotPath — either a
-// checkpoint (one atomic file: counters + window together, written when
-// the WAL is on) or the legacy snapshot + run-log pair — and then, when
-// the WAL is enabled, replays every WAL record the loaded state does
-// not cover. For the legacy pair the run log is the source of truth: if
-// the counters disagree with it (a crash tore the pair, or retention
-// caps trimmed the restored window), the counters are rebuilt from the
-// retained runs so the two views can never serve different windows.
+// restore loads the checkpoint at cfg.SnapshotPath — counters and
+// window were written atomically in one file, so they can only disagree
+// if retention caps shrank across the restart — and then, when the WAL
+// is enabled, replays every WAL record the checkpoint does not cover.
 func (s *Server) restore() error {
 	cfg := s.cfg
-	snap, ckptSet, ckptKeys, isCheckpoint, err := corpus.ReadStateFileKeyed(cfg.SnapshotPath)
+	snap, set, keys, err := corpus.ReadCheckpointFile(cfg.SnapshotPath)
 	if err != nil {
-		return fmt.Errorf("collector: loading snapshot: %v", err)
+		return fmt.Errorf("collector: loading checkpoint: %v", err)
 	}
 	if snap != nil {
 		if snap.NumSites != cfg.NumSites || snap.NumPreds != cfg.NumPreds {
@@ -758,54 +749,15 @@ func (s *Server) restore() error {
 		}
 		s.agg.Restore(snap)
 		s.seqs.restoreState(snap.WALSeq, snap.WALIslands)
-	}
-
-	if isCheckpoint {
-		// Counters and window were written atomically; they can only
-		// disagree if retention caps shrank across the restart.
-		if cfg.RunLogSize > 0 && ckptSet != nil && len(ckptSet.Reports) > 0 {
-			retained := s.agg.RestoreLog(ckptSet.Reports, ckptKeys)
-			if retained != len(ckptSet.Reports) {
+		if cfg.RunLogSize > 0 && len(set.Reports) > 0 {
+			retained := s.agg.RestoreLog(set.Reports, keys)
+			if retained != len(set.Reports) {
 				cfg.Logf("collector: retention caps trimmed the checkpoint window (%d runs checkpointed, %d retained); recounting",
-					len(ckptSet.Reports), retained)
+					len(set.Reports), retained)
 				if err := s.agg.RecountFromLog(); err != nil {
 					return fmt.Errorf("collector: recounting from checkpoint window: %v", err)
 				}
 			}
-		}
-	} else {
-		logSet, err := corpus.ReadRunLogFile(corpus.RunLogPath(cfg.SnapshotPath))
-		if err != nil {
-			return fmt.Errorf("collector: loading run log: %v", err)
-		}
-		if logSet != nil && cfg.RunLogSize > 0 {
-			if logSet.NumSites != cfg.NumSites || logSet.NumPreds != cfg.NumPreds {
-				return fmt.Errorf("collector: run log dimensions %dx%d do not match server %dx%d",
-					logSet.NumSites, logSet.NumPreds, cfg.NumSites, cfg.NumPreds)
-			}
-			retained := s.agg.RestoreLog(logSet.Reports, nil)
-			// The snapshot records how many runs its companion log held (a
-			// legacy v1 snapshot does not; fall back to its run counts,
-			// which equal the logged count unless state was merged in).
-			wantLogged := int64(-1)
-			if snap != nil {
-				wantLogged = snap.Logged
-				if wantLogged < 0 {
-					wantLogged = snap.NumF + snap.NumS
-				}
-			}
-			// Recount whenever the counters cannot match the retained window:
-			// torn snapshot pair, or retention caps (count or bytes) trimmed
-			// the restored log below what the snapshot described.
-			if snap == nil || wantLogged != int64(len(logSet.Reports)) || retained != len(logSet.Reports) {
-				cfg.Logf("collector: counters disagree with run log (%d runs logged, %d retained); recounting from the log",
-					len(logSet.Reports), retained)
-				if err := s.agg.RecountFromLog(); err != nil {
-					return fmt.Errorf("collector: recounting from run log: %v", err)
-				}
-			}
-		} else if snap != nil && snap.NumF+snap.NumS > 0 && cfg.RunLogSize > 0 {
-			cfg.Logf("collector: snapshot has no run log; /v1/predictors starts empty until new runs arrive")
 		}
 	}
 
@@ -879,7 +831,7 @@ func (s *Server) applyLoop() {
 
 func (s *Server) snapshotLoop() {
 	defer s.bg.Done()
-	t := time.NewTicker(s.cfg.SnapshotEvery)
+	t := time.NewTicker(s.cfg.CheckpointEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -887,7 +839,7 @@ func (s *Server) snapshotLoop() {
 			return
 		case <-t.C:
 			if err := s.SnapshotNow(); err != nil {
-				s.cfg.Logf("collector: periodic snapshot: %v", err)
+				s.cfg.Logf("collector: periodic checkpoint: %v", err)
 			}
 		}
 	}
@@ -903,61 +855,42 @@ func (s *Server) Ingest(r *report.Report) {
 	s.reportsApplied.Add(1)
 }
 
-// SnapshotNow persists the current aggregate to cfg.SnapshotPath.
-//
-// With the WAL enabled this is a checkpoint: counters, window, and the
-// WAL coverage watermark are captured under one lock and land in a
-// single atomically-renamed file (no torn-pair window at all), after
-// which WAL segments the checkpoint covers are pruned.
-//
-// Without the WAL it is the legacy pair — the run log lands on disk
-// before the counters: the aggregate snapshot is the commit point, and
-// a crash between the two writes leaves a mismatch that restore detects
-// and repairs by recounting from the log.
+// SnapshotNow checkpoints the current aggregate to cfg.SnapshotPath:
+// counters, window, routing keys, and the WAL coverage watermark are
+// captured under one aggregate hold and land in a single atomically
+// renamed file, after which the WAL segments the checkpoint covers (if
+// there is a WAL) are pruned. ckptMu is held from capture through
+// prune: were two checkpoints to overlap, the later capture could
+// rename and prune first and the earlier one then overwrite it with a
+// watermark whose log is already gone.
 func (s *Server) SnapshotNow() error {
 	if s.cfg.SnapshotPath == "" {
 		return fmt.Errorf("collector: no snapshot path configured")
 	}
+	hook := s.cfg.checkpointHook
+	if hook == nil {
+		hook = func(string) {}
+	}
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	start := time.Now()
 	defer func() { s.snapshotSeconds.ObserveDuration(time.Since(start)) }()
-	if s.cfg.checkpointHook != nil {
-		s.cfg.checkpointHook("begin")
-	}
-	walOn := s.cfg.WALPath != ""
+	hook("begin")
 	snap, recs, keys, _, _ := s.agg.SnapshotState(s.cfg.Fingerprint, func(sn *corpus.AggSnapshot) {
-		if walOn {
-			sn.WALSeq, sn.WALIslands = s.seqs.capture()
-		}
+		sn.WALSeq, sn.WALIslands = s.seqs.capture()
 	})
-	if walOn {
-		// The retained records are already canonical wire encodings, so
-		// the checkpoint streams them directly — no decode → re-encode.
-		if err := corpus.WriteCheckpointFileRecords(s.cfg.SnapshotPath, snap, s.cfg.NumSites, s.cfg.NumPreds, recs, keys); err != nil {
-			return err
-		}
-		s.snapshots.Add(1)
-		if s.cfg.checkpointHook != nil {
-			s.cfg.checkpointHook("committed")
-		}
-		s.pruneWAL(snap.WALSeq)
-		if s.cfg.checkpointHook != nil {
-			s.cfg.checkpointHook("done")
-		}
-		s.cfg.Logf("collector: checkpoint %s (%d runs, %d logged, WAL covered through %d)",
-			s.cfg.SnapshotPath, snap.NumF+snap.NumS, len(recs), snap.WALSeq)
-		return nil
-	}
-	if recs != nil {
-		if err := corpus.WriteRunLogFileRecords(corpus.RunLogPath(s.cfg.SnapshotPath), s.cfg.NumSites, s.cfg.NumPreds, recs); err != nil {
-			return err
-		}
-	}
-	if err := corpus.WriteAggSnapshotFile(s.cfg.SnapshotPath, snap); err != nil {
+	hook("captured")
+	// The retained records are already canonical wire encodings, so the
+	// checkpoint streams them directly — no decode → re-encode.
+	if err := corpus.WriteCheckpointFileRecords(s.cfg.SnapshotPath, snap, s.cfg.NumSites, s.cfg.NumPreds, recs, keys); err != nil {
 		return err
 	}
 	s.snapshots.Add(1)
-	s.cfg.Logf("collector: snapshot %s (%d runs, %d logged)",
-		s.cfg.SnapshotPath, snap.NumF+snap.NumS, len(recs))
+	hook("committed")
+	s.pruneWAL(snap.WALSeq)
+	hook("done")
+	s.cfg.Logf("collector: checkpoint %s (%d runs, %d logged, WAL covered through %d)",
+		s.cfg.SnapshotPath, snap.NumF+snap.NumS, len(recs), snap.WALSeq)
 	return nil
 }
 
@@ -1246,7 +1179,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	b := &ingestBatch{id: batchID, key: batchKey(r, batchID), reports: set.Reports, recs: lease.Records(), lease: lease}
 	if s.cfg.WALPath != "" {
 		if b.recs == nil {
-			b.recs = encodeReports(set.Reports)
+			b.recs = report.EncodeRecords(set.Reports)
 		}
 		kind := byte(corpus.WALBatch)
 		if b.key != corpus.NoKey {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"cbi/internal/core"
+	"cbi/internal/corpus"
 	"cbi/internal/report"
 )
 
@@ -160,15 +162,26 @@ func TestEndToEndConcurrentClientsMatchBatch(t *testing.T) {
 	}
 }
 
-// TestSnapshotKillRestart kills a collector (no drain, no final
-// snapshot) and restarts it from its latest snapshot: stats and ranking
-// must equal the pre-kill snapshot state, and retrying the batches
-// submitted after the snapshot must converge to the full-corpus state.
+// TestSnapshotKillRestart kills a collector without a WAL (no drain, no
+// final checkpoint) in the middle of writing its second checkpoint and
+// restarts it from what is on disk: the first checkpoint, whole. Stats,
+// ranking and the window must equal the state at that checkpoint — one
+// file cannot tear, so nothing is recounted — and retrying the batches
+// submitted after it must converge to the full-corpus state.
 func TestSnapshotKillRestart(t *testing.T) {
 	res := testCorpus(t)
 	in := res.CoreInput()
 	cfg := serverConfig(t)
-	cfg.SnapshotPath = filepath.Join(t.TempDir(), "collector.snap")
+	dir := t.TempDir()
+	cfg.SnapshotPath = filepath.Join(dir, "collector.snap")
+	cfg.CheckpointEvery = time.Hour // checkpoints only when the test says so
+	// frozen is the state dir as a kill inside the latest checkpoint leaves it.
+	var frozen string
+	cfg.checkpointHook = func(stage string) {
+		if stage == "captured" {
+			frozen = copyTree(t, dir)
+		}
+	}
 
 	half := len(in.Set.Reports) / 2
 	firstHalf, secondHalf := in.Set.Reports[:half], in.Set.Reports[half:]
@@ -190,28 +203,13 @@ func TestSnapshotKillRestart(t *testing.T) {
 		}
 	}
 
-	// Raw JSON bytes, so the restart check below is bit-for-bit, not
-	// merely DeepEqual after a decode round trip.
-	rawPredictors := func(ts *httptest.Server) []byte {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/predictors?k=25&affinity=4")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /v1/predictors = %d", resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
-
 	submit(client, firstHalf)
 	waitApplied(t, srv1, int64(half))
 	if err := srv1.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	firstCheckpoint, err := os.ReadFile(cfg.SnapshotPath)
+	if err != nil {
 		t.Fatal(err)
 	}
 	statsAtSnap := srv1.StatsNow()
@@ -219,23 +217,38 @@ func TestSnapshotKillRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	predsAtSnap := rawPredictors(ts1)
+	// Raw JSON bytes, so the restart check below is bit-for-bit, not
+	// merely DeepEqual after a decode round trip.
+	_, predsAtSnap := rawViews(t, srv1)
 
 	// More reports arrive and are acked after the snapshot...
 	submit(client, secondHalf)
 	waitApplied(t, srv1, int64(len(in.Set.Reports)))
 
-	// ...then the collector dies without warning.
+	// ...then the collector dies without warning, its second checkpoint
+	// captured but not yet on disk.
+	if err := srv1.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
 	ts1.Close()
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restart from the latest snapshot: post-snapshot reports are gone,
-	// everything up to the snapshot is intact.
+	// Restart from the frozen disk: post-checkpoint reports are gone,
+	// everything up to the first checkpoint is intact — re-checkpointing
+	// the restored state reproduces that file byte for byte.
+	cfg.SnapshotPath = filepath.Join(frozen, "collector.snap")
+	cfg.checkpointHook = nil
 	srv2, err := New(cfg)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
+	}
+	if err := srv2.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(cfg.SnapshotPath); err != nil || !bytes.Equal(again, firstCheckpoint) {
+		t.Fatalf("restored counters+window re-checkpoint to different bytes than the first checkpoint (err %v)", err)
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
@@ -260,7 +273,7 @@ func TestSnapshotKillRestart(t *testing.T) {
 	}
 	// The restored run log must reproduce the live cause-isolation view
 	// bit for bit — same JSON bytes as the pre-kill collector served.
-	if predsRestored := rawPredictors(ts2); !bytes.Equal(predsRestored, predsAtSnap) {
+	if _, predsRestored := rawViews(t, srv2); !bytes.Equal(predsRestored, predsAtSnap) {
 		t.Fatalf("restored /v1/predictors differs from pre-kill bytes:\npre-kill: %s\nrestored: %s",
 			predsAtSnap, predsRestored)
 	}
@@ -644,8 +657,22 @@ func TestNewValidation(t *testing.T) {
 		t.Error("out-of-range SiteOf accepted")
 	}
 
-	// A snapshot from a different universe must be refused.
+	// A pre-checkpoint plain-text snapshot is refused with the command
+	// that imports it, not silently dropped.
 	dir := t.TempDir()
+	legacy := Config{NumSites: 2, NumPreds: 2, SiteOf: []int32{0, 1}, SnapshotPath: filepath.Join(dir, "legacy.snap")}
+	var text bytes.Buffer
+	if err := corpus.SaveAggSnapshot(&text, corpus.NewAggSnapshot(2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy.SnapshotPath, text.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(legacy); err == nil || !strings.Contains(err.Error(), "cbi merge -o") {
+		t.Errorf("boot on a plain-text legacy snapshot: err = %v, want the importer hint", err)
+	}
+
+	// A snapshot from a different universe must be refused.
 	path := filepath.Join(dir, "s.snap")
 	cfg := Config{NumSites: 2, NumPreds: 2, SiteOf: []int32{0, 1},
 		Fingerprint: 7, SnapshotPath: path}

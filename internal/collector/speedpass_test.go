@@ -5,20 +5,17 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"cbi/internal/corpus"
 )
 
 // TestSpeedPassEquivalence pins the hot-path rewrite (arena decode,
 // batched stripe fold, run-log vector interning) to the slow path it
 // replaced: the same corpus ingested report-by-report through the
 // in-process API and as HTTP binary batches through the arena decoder
-// must yield byte-identical /v1/scores, /v1/predictors, and snapshot
-// files. Run under -race in CI so the pooled workspaces and atomic
+// must yield byte-identical /v1/scores, /v1/predictors, and
+// checkpoints. Run under -race in CI so the pooled workspaces and atomic
 // counters are exercised with the detector on.
 func TestSpeedPassEquivalence(t *testing.T) {
 	res := testCorpus(t)
@@ -28,7 +25,7 @@ func TestSpeedPassEquivalence(t *testing.T) {
 		t.Helper()
 		cfg := serverConfig(t)
 		cfg.SnapshotPath = filepath.Join(t.TempDir(), name+".snap")
-		// One apply worker: the .runs files are compared byte for byte,
+		// One apply worker: the checkpointed windows are compared byte for byte,
 		// and with several workers two batches acked back to back may be
 		// appended to the run log in either order. Which order the log
 		// owes a client is ROADMAP item 1's open decision, not this
@@ -65,19 +62,11 @@ func TestSpeedPassEquivalence(t *testing.T) {
 
 	get := func(base, path string) []byte {
 		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
+		code, body := getBody(t, base+path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", path, code, body)
 		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d: %s", path, resp.StatusCode, buf.Bytes())
-		}
-		return buf.Bytes()
+		return body
 	}
 
 	for _, path := range []string{
@@ -93,26 +82,17 @@ func TestSpeedPassEquivalence(t *testing.T) {
 		}
 	}
 
-	// Snapshots from the two servers must be byte-identical: counters,
-	// run-log records, and record order all survived the rewrite.
+	// Checkpoints from the two servers must hold identical state:
+	// counters, run-log records, and record order all survived the
+	// rewrite.
 	if err := refSrv.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
 	if err := hotSrv.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
-	for _, suffix := range []string{"", corpus.RunLogPath("")} {
-		refBytes, err := os.ReadFile(refSnap + suffix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hotBytes, err := os.ReadFile(hotSnap + suffix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(refBytes, hotBytes) {
-			t.Errorf("snapshot file %q differs between hot path and reference", suffix)
-		}
+	if !bytes.Equal(checkpointState(t, refSnap), checkpointState(t, hotSnap)) {
+		t.Error("checkpoint differs between hot path and reference")
 	}
 
 	// The interned run log must hold no more distinct vectors than

@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"bytes"
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/json"
@@ -25,22 +24,6 @@ const maxRevokeIDs = 1 << 14
 // ingestBatch is one queued unit of ingest work: the client batch id
 // (for dedup/revoke bookkeeping), the WAL sequence its durable record
 // carries (0 when the WAL is disabled), and the decoded reports.
-// encodeReports produces each report's run-log record. The same bytes
-// serve as the WAL batch payload and, index-aligned, as the aggregate's
-// pre-encoded records — one encoding pass for both consumers.
-func encodeReports(reports []*report.Report) [][]byte {
-	recs := make([][]byte, len(reports))
-	// AppendRecord sizes a fresh buffer for the worst case (five bytes
-	// per id); encoding through one scratch and keeping exact-size
-	// copies allocates a fifth of that.
-	var scratch []byte
-	for i, r := range reports {
-		scratch = report.AppendRecord(scratch[:0], r)
-		recs[i] = bytes.Clone(scratch)
-	}
-	return recs
-}
-
 type ingestBatch struct {
 	id      string
 	seq     uint64
@@ -515,7 +498,7 @@ func (s *Server) IngestBatch(id string, reports []*report.Report) error {
 	var seq uint64
 	var encoded [][]byte
 	if s.cfg.WALPath != "" {
-		encoded = encodeReports(reports)
+		encoded = report.EncodeRecords(reports)
 		var err error
 		seq, err = s.walAppend(&corpus.WALRecord{Kind: corpus.WALBatch, BatchID: id, Recs: encoded})
 		if err != nil {

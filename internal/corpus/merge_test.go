@@ -71,7 +71,7 @@ func TestMergeSegmentRoundTrip(t *testing.T) {
 	if err := WriteMergeSegment(&buf, snap, set); err != nil {
 		t.Fatal(err)
 	}
-	gotSnap, gotSet, err := ReadMergeSegment(bytes.NewReader(buf.Bytes()))
+	gotSnap, gotSet, _, err := ReadMergeSegmentKeyed(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMergeSegmentErrors(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	if err := WriteMergeSegment(&buf, snap, over); err == nil {
-		if _, _, err := ReadMergeSegment(bytes.NewReader(buf.Bytes())); err == nil {
+		if _, _, _, err := ReadMergeSegmentKeyed(bytes.NewReader(buf.Bytes())); err == nil {
 			t.Fatal("segment logging more runs than counted was accepted")
 		}
 	}
@@ -113,8 +113,8 @@ func TestMergeSegmentErrors(t *testing.T) {
 		"cbi-merge 1 999999999999\n",
 		"cbi-merge 1 3\nabc", // snapshot bytes are not an aggsnap
 	} {
-		if _, _, err := ReadMergeSegment(strings.NewReader(bad)); err == nil {
-			t.Fatalf("ReadMergeSegment(%q) succeeded", bad)
+		if _, _, _, err := ReadMergeSegmentKeyed(strings.NewReader(bad)); err == nil {
+			t.Fatalf("ReadMergeSegmentKeyed(%q) succeeded", bad)
 		}
 	}
 
@@ -124,39 +124,43 @@ func TestMergeSegmentErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := full.Bytes()[:full.Len()/2]
-	if _, _, err := ReadMergeSegment(bytes.NewReader(cut)); err == nil {
+	if _, _, _, err := ReadMergeSegmentKeyed(bytes.NewReader(cut)); err == nil {
 		t.Fatal("truncated segment was accepted")
 	}
 }
 
-// TestAggSnapshotV1Compat loads a version-1 file (no LOGGED line):
-// it must parse, with Logged reporting -1 (unknown).
+// TestAggSnapshotV1Compat: only version 3 is written, but merge
+// segments travel between binaries, so a version-2 file (no WALSEQ
+// line) and a version-1 file (no LOGGED line either; Logged reports -1,
+// unknown) must still parse to the same counters.
 func TestAggSnapshotV1Compat(t *testing.T) {
 	snap := sampleSnap()
+	snap.Logged = 4
 	var buf bytes.Buffer
 	if err := SaveAggSnapshot(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	if !strings.Contains(text, "\nLOGGED ") {
-		t.Fatalf("v2 snapshot missing LOGGED line:\n%s", text)
-	}
-	v1 := strings.Replace(text, "cbi-aggsnap 2 ", "cbi-aggsnap 1 ", 1)
-	v1 = v1[:strings.Index(v1, "LOGGED ")]
-	got, err := LoadAggSnapshot(strings.NewReader(v1))
-	if err != nil {
-		t.Fatalf("loading v1 snapshot: %v", err)
-	}
-	if got.Logged != -1 {
-		t.Fatalf("v1 snapshot Logged = %d, want -1", got.Logged)
-	}
-	got.Logged = snap.Logged
-	if !reflect.DeepEqual(got, snap) {
-		t.Fatalf("v1 snapshot counters mismatch:\nin:  %+v\nout: %+v", snap, got)
+	for version, cut := range map[string]string{"2": "WALSEQ ", "1": "LOGGED "} {
+		old := strings.Replace(text, "cbi-aggsnap 3 ", "cbi-aggsnap "+version+" ", 1)
+		old = old[:strings.Index(old, cut)]
+		got, err := LoadAggSnapshot(strings.NewReader(old))
+		if err != nil {
+			t.Fatalf("loading v%s snapshot: %v", version, err)
+		}
+		if version == "1" {
+			if got.Logged != -1 {
+				t.Fatalf("v1 snapshot Logged = %d, want -1", got.Logged)
+			}
+			got.Logged = snap.Logged
+		}
+		if !reflect.DeepEqual(got, snap) {
+			t.Fatalf("v%s snapshot mismatch:\nin:  %+v\nout: %+v", version, snap, got)
+		}
 	}
 
 	// Future versions refuse.
-	v9 := strings.Replace(text, "cbi-aggsnap 2 ", "cbi-aggsnap 9 ", 1)
+	v9 := strings.Replace(text, "cbi-aggsnap 3 ", "cbi-aggsnap 9 ", 1)
 	if _, err := LoadAggSnapshot(strings.NewReader(v9)); err == nil {
 		t.Fatal("version-9 snapshot was accepted")
 	}

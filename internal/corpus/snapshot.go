@@ -16,11 +16,11 @@ import (
 )
 
 // aggSnapVersion is bumped on breaking aggregate-snapshot changes.
-// Version 2 added the LOGGED line; version-1 files still load, with
-// Logged reported as unknown (-1). Version 3 added the WALSEQ line
-// (write-ahead-log applied watermark + islands); snapshots without WAL
-// state still save as version 2, so non-WAL deployments keep producing
-// byte-identical files.
+// Version 2 added the LOGGED line and version 3 the WALSEQ line
+// (write-ahead-log applied watermark + islands). Only version 3 is
+// written; versions 1 and 2 still load — merge segments travel between
+// binaries — with Logged reported as unknown (-1) for version 1 and no
+// WAL coverage for either.
 const aggSnapVersion = 3
 
 // maxWALIslands bounds the islands list a hostile WALSEQ line may
@@ -49,18 +49,18 @@ type AggSnapshot struct {
 	// FPred and SPred count, per predicate, the failing/successful runs
 	// in which the predicate was observed true.
 	FPred, SPred []int64
-	// Logged records how many retained runs the sibling run-log file
-	// held when this snapshot was captured, so a restore can tell a
-	// torn snapshot/log pair (recount from the log) from counters that
-	// legitimately cover more runs than the retained window (merged-in
-	// shard state whose own windows had evicted runs). -1 means unknown
-	// (a version-1 file).
+	// Logged records how many retained runs the run window held when
+	// this snapshot was captured. Only the legacy-pair importer (cbi
+	// merge) reads it, to tell a torn snapshot/.runs pair (recount from
+	// the log) from counters that legitimately cover more runs than the
+	// retained window (merged-in shard state whose own windows had
+	// evicted runs). -1 means unknown (a version-1 file).
 	Logged int64
 	// WALSeq is the write-ahead-log applied watermark at capture: every
 	// WAL record with sequence <= WALSeq is reflected in the counters.
 	// WALIslands lists applied sequences above the watermark (batches
 	// that finished out of order while earlier ones were still queued).
-	// Both are zero/empty outside WAL-enabled checkpoints.
+	// Both are zero/empty outside a WAL-enabled collector's checkpoints.
 	WALSeq     uint64
 	WALIslands []uint64
 }
@@ -194,28 +194,21 @@ func (snap *AggSnapshot) ToAgg(siteOf []int32) *core.Agg {
 
 // SaveAggSnapshot writes the snapshot in a line-oriented text format:
 //
-//	cbi-aggsnap 2 <numSites> <numPreds> <fingerprint> <numF> <numS>
+//	cbi-aggsnap 3 <numSites> <numPreds> <fingerprint> <numF> <numS>
 //	FOBS <numSites ints>
 //	SOBS <numSites ints>
 //	FPRED <numPreds ints>
 //	SPRED <numPreds ints>
-//	LOGGED <runs in the sibling run log at capture>
-//	WALSEQ <watermark> <island>...     (version 3; only with WAL state)
-//
-// Snapshots with no WAL state write version 2 with no WALSEQ line, so
-// non-WAL deployments keep producing the exact bytes they always have.
+//	LOGGED <runs in the run window at capture>
+//	WALSEQ <watermark> <island>...
 func SaveAggSnapshot(w io.Writer, snap *AggSnapshot) error {
 	if len(snap.FobsSite) != snap.NumSites || len(snap.SobsSite) != snap.NumSites ||
 		len(snap.FPred) != snap.NumPreds || len(snap.SPred) != snap.NumPreds {
 		return fmt.Errorf("corpus: snapshot slice lengths disagree with dimensions")
 	}
-	version := 2
-	if snap.WALSeq != 0 || len(snap.WALIslands) > 0 {
-		version = aggSnapVersion
-	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "cbi-aggsnap %d %d %d %d %d %d\n",
-		version, snap.NumSites, snap.NumPreds, snap.Fingerprint, snap.NumF, snap.NumS)
+		aggSnapVersion, snap.NumSites, snap.NumPreds, snap.Fingerprint, snap.NumF, snap.NumS)
 	for _, sec := range []struct {
 		tag string
 		xs  []int64
@@ -230,16 +223,12 @@ func SaveAggSnapshot(w io.Writer, snap *AggSnapshot) error {
 		}
 		bw.WriteByte('\n')
 	}
-	fmt.Fprintf(bw, "LOGGED %d\n", snap.Logged)
-	if version >= 3 {
-		bw.WriteString("WALSEQ ")
-		bw.WriteString(strconv.FormatUint(snap.WALSeq, 10))
-		for _, s := range snap.WALIslands {
-			bw.WriteByte(' ')
-			bw.WriteString(strconv.FormatUint(s, 10))
-		}
-		bw.WriteByte('\n')
+	fmt.Fprintf(bw, "LOGGED %d\nWALSEQ %d", snap.Logged, snap.WALSeq)
+	for _, s := range snap.WALIslands {
+		bw.WriteByte(' ')
+		bw.WriteString(strconv.FormatUint(s, 10))
 	}
+	bw.WriteByte('\n')
 	return bw.Flush()
 }
 
@@ -367,74 +356,6 @@ func (snap *AggSnapshot) ApplyReport(r *report.Report, delta int64) {
 	}
 }
 
-// writeFileAtomic persists what fill writes to path via a temp file +
-// rename, so a crash mid-write never clobbers the previous good file.
-// With gz set the file is one gzip stream at the system's one level
-// (report.Gzip).
-func writeFileAtomic(path string, gz bool, fill func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if gz {
-		err = report.Gzip(tmp, fill)
-	} else {
-		err = fill(tmp)
-	}
-	if err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// WriteAggSnapshotFile atomically persists the snapshot to path.
-func WriteAggSnapshotFile(path string, snap *AggSnapshot) error {
-	return writeFileAtomic(path, false, func(w io.Writer) error { return SaveAggSnapshot(w, snap) })
-}
-
-// ReadAggSnapshotFile loads a snapshot file; a missing file returns
-// (nil, nil) so callers can treat "no snapshot yet" as a cold start.
-func ReadAggSnapshotFile(path string) (*AggSnapshot, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadAggSnapshot(f)
-}
-
-// RunLogPath derives the run-log sibling of an aggregate snapshot path.
-// The two files together are a collector's durable state: the counters
-// (O(sites+preds)) and the retained run-level membership window the
-// counters describe.
-func RunLogPath(snapshotPath string) string { return snapshotPath + ".runs" }
-
-// WriteRunLogFile atomically persists a retained-run window as a
-// gzip-compressed binary report set (the wire codec doubles as the
-// at-rest format).
-func WriteRunLogFile(path string, set *report.Set) error {
-	return writeFileAtomic(path, true, set.MarshalBinary)
-}
-
-// WriteRunLogFileRecords is WriteRunLogFile fed directly with encoded
-// run-log records (canonical report.AppendRecord bytes). The file is
-// byte-identical to WriteRunLogFile over the decoded reports — the set
-// body is exactly the record concatenation — so collectors can persist
-// their window without a decode → re-encode round trip.
-func WriteRunLogFileRecords(path string, numSites, numPreds int, recs [][]byte) error {
-	return writeFileAtomic(path, true, func(w io.Writer) error {
-		return report.MarshalRecords(w, numSites, numPreds, recs)
-	})
-}
-
 // mergeSegVersion is bumped on breaking merge-segment changes.
 // Version 1 is snapshot + run window; version 2 appends a per-record
 // routing-key section and is only written when at least one record
@@ -459,70 +380,29 @@ const maxMergeSnapBytes = 1 << 28
 //	<report.Set binary wire format>
 //
 // This is the payload of the collector's POST /v1/merge endpoint and
-// GET /v1/snapshot export: together the two parts let a reducer fold N
-// shard states into one exact global state (counters add, run windows
-// concatenate).
+// GET /v1/snapshot export, and (gzip'd) the checkpoint file: together
+// the two parts let a reducer fold N shard states into one exact global
+// state (counters add, run windows concatenate).
 func WriteMergeSegment(w io.Writer, snap *AggSnapshot, set *report.Set) error {
 	return WriteMergeSegmentKeyed(w, snap, set, nil)
 }
 
-// WriteMergeSegmentKeyed writes a merge segment carrying a routing-key
-// hash per record (keys[i] belongs to set.Reports[i]; see KeyHash).
-// When keys is nil, or every key is NoKey, the output is a plain v1
-// segment byte-for-byte; otherwise a v2 segment with a key section —
-// a uvarint count followed by that many uvarint keys — after the run
-// window. Keys let migrated runs stay addressable by range on the
-// destination shard, so a later resize can move them again.
+// WriteMergeSegmentKeyed is WriteMergeSegmentRecords over decoded
+// reports (keys[i] belongs to set.Reports[i]).
 func WriteMergeSegmentKeyed(w io.Writer, snap *AggSnapshot, set *report.Set, keys []uint64) error {
-	if set.NumSites != snap.NumSites || set.NumPreds != snap.NumPreds {
-		return fmt.Errorf("corpus: merge segment set dimensions %dx%d disagree with snapshot %dx%d",
-			set.NumSites, set.NumPreds, snap.NumSites, snap.NumPreds)
-	}
-	keyed := false
-	if keys != nil {
-		if len(keys) != len(set.Reports) {
-			return fmt.Errorf("corpus: merge segment has %d keys for %d records", len(keys), len(set.Reports))
-		}
-		for _, k := range keys {
-			if k != NoKey {
-				keyed = true
-				break
-			}
-		}
-	}
-	version := mergeSegVersion
-	if keyed {
-		version = mergeSegVersionKeyed
-	}
-	var buf bytes.Buffer
-	if err := SaveAggSnapshot(&buf, snap); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "cbi-merge %d %d\n", version, buf.Len()); err != nil {
-		return err
-	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	if err := set.MarshalBinary(w); err != nil {
-		return err
-	}
-	if !keyed {
-		return nil
-	}
-	kb := binary.AppendUvarint(nil, uint64(len(keys)))
-	for _, k := range keys {
-		kb = binary.AppendUvarint(kb, k)
-	}
-	_, err := w.Write(kb)
-	return err
+	return WriteMergeSegmentRecords(w, snap, set.NumSites, set.NumPreds, report.EncodeRecords(set.Reports), keys)
 }
 
-// WriteMergeSegmentRecords is WriteMergeSegmentKeyed fed directly with
-// encoded run-log records instead of decoded reports: the run-window
-// part of the frame is exactly the record concatenation, so the output
-// is byte-identical and the exporter skips a decode → re-encode round
-// trip. keys[i] belongs to recs[i]; nil keys writes a v1 segment.
+// WriteMergeSegmentRecords writes a merge segment from encoded run-log
+// records (canonical report.AppendRecord bytes — the run-window part of
+// the frame is exactly their concatenation, so exporters skip a decode
+// → re-encode round trip) carrying a routing-key hash per record
+// (keys[i] belongs to recs[i]; see KeyHash). When keys is nil, or every
+// key is NoKey, the output is a plain v1 segment; otherwise a v2
+// segment with a key section — a uvarint count followed by that many
+// uvarint keys — after the run window. Keys let migrated runs stay
+// addressable by range on the destination shard, so a later resize can
+// move them again.
 func WriteMergeSegmentRecords(w io.Writer, snap *AggSnapshot, numSites, numPreds int, recs [][]byte, keys []uint64) error {
 	if numSites != snap.NumSites || numPreds != snap.NumPreds {
 		return fmt.Errorf("corpus: merge segment set dimensions %dx%d disagree with snapshot %dx%d",
@@ -568,18 +448,12 @@ func WriteMergeSegmentRecords(w io.Writer, snap *AggSnapshot, numSites, numPreds
 	return err
 }
 
-// ReadMergeSegment parses a stream written by WriteMergeSegment,
-// validating that the two parts describe the same predicate universe.
-// It is safe on hostile input: allocation is bounded and errors are
-// returned rather than panicking.
-func ReadMergeSegment(r io.Reader) (*AggSnapshot, *report.Set, error) {
-	snap, set, _, err := ReadMergeSegmentKeyed(r)
-	return snap, set, err
-}
-
-// ReadMergeSegmentKeyed parses a merge segment and, for a keyed (v2)
-// segment, also returns the per-record routing-key hashes (aligned
-// with set.Reports). A v1 segment returns keys == nil.
+// ReadMergeSegmentKeyed parses a merge segment, validating that its two
+// parts describe the same predicate universe; for a keyed (v2) segment
+// it also returns the per-record routing-key hashes (aligned with
+// set.Reports), for a v1 segment keys == nil. It is safe on hostile
+// input: allocation is bounded and errors are returned rather than
+// panicking.
 func ReadMergeSegmentKeyed(r io.Reader) (*AggSnapshot, *report.Set, []uint64, error) {
 	br := bufio.NewReader(r)
 	line, err := br.ReadString('\n')
@@ -637,90 +511,69 @@ func ReadMergeSegmentKeyed(r io.Reader) (*AggSnapshot, *report.Set, []uint64, er
 	return snap, set, keys, nil
 }
 
-// WriteCheckpointFileRecords atomically persists a checkpoint — a
-// snapshot (including its WAL watermark) and the retained run window it
-// describes, as encoded run-log records with their routing-key hashes
-// (see WriteMergeSegmentRecords) — as a single gzip-compressed merge
-// segment. WAL-enabled collectors use this one-file form instead of
-// the legacy snapshot + .runs pair: with a write-ahead log in the
-// recovery path there must be no torn-pair window, because the legacy
-// repair (recount counters from the log) would disagree with WAL
-// replay.
+// WriteCheckpointFileRecords persists a checkpoint — a collector's one
+// state file: a snapshot (including its WAL watermark) and the retained
+// run window it describes, as encoded run-log records with their
+// routing-key hashes — as a single gzip-compressed merge segment (see
+// WriteMergeSegmentRecords). One file cannot tear, so counters and
+// window always restore together. The write is temp file + fsync +
+// rename + directory fsync: a crash mid-write never clobbers the
+// previous good file, and once this returns the new one survives power
+// loss — the collector deletes fsynced WAL segments on the strength of
+// that.
 func WriteCheckpointFileRecords(path string, snap *AggSnapshot, numSites, numPreds int, recs [][]byte, keys []uint64) error {
-	return writeFileAtomic(path, true, func(w io.Writer) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	err = report.Gzip(tmp, func(w io.Writer) error {
 		return WriteMergeSegmentRecords(w, snap, numSites, numPreds, recs, keys)
 	})
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
-// ReadStateFile loads a collector state file at path, which is either a
-// gzip checkpoint written by WriteCheckpointFileRecords (checkpoint=true, the
-// run window inside the returned set) or a legacy plain-text snapshot
-// written by WriteAggSnapshotFile (checkpoint=false, set=nil; the run
-// window lives in the sibling .runs file). The two formats are
-// distinguished by sniffing the gzip magic. A missing file returns all
-// zero values: cold start.
-func ReadStateFile(path string) (snap *AggSnapshot, set *report.Set, checkpoint bool, err error) {
-	snap, set, _, checkpoint, err = ReadStateFileKeyed(path)
-	return snap, set, checkpoint, err
-}
-
-// ReadStateFileKeyed is ReadStateFile that also surfaces the
-// per-record routing-key hashes of a keyed checkpoint (nil for
-// unkeyed checkpoints and legacy snapshots).
-func ReadStateFileKeyed(path string) (snap *AggSnapshot, set *report.Set, keys []uint64, checkpoint bool, err error) {
+// ReadCheckpointFile loads a checkpoint written by
+// WriteCheckpointFileRecords. A missing file returns all nil values:
+// cold start. A file that is not a gzip stream is refused with the
+// importer command — it is most likely a pre-checkpoint plain-text
+// snapshot, whose .runs sidecar only cbi merge still reads.
+func ReadCheckpointFile(path string) (*AggSnapshot, *report.Set, []uint64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, nil, nil, false, nil
+		return nil, nil, nil, nil
 	}
 	if err != nil {
-		return nil, nil, nil, false, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	magic, err := br.Peek(2)
-	if err != nil {
-		return nil, nil, nil, false, fmt.Errorf("corpus: state file %s: %v", path, err)
-	}
-	if magic[0] == 0x1f && magic[1] == 0x8b {
-		gz, err := report.Gunzip(br)
-		if err != nil {
-			return nil, nil, nil, false, fmt.Errorf("corpus: checkpoint %s: %v", path, err)
-		}
-		defer gz.Close()
-		snap, set, keys, err := ReadMergeSegmentKeyed(gz)
-		if err != nil {
-			return nil, nil, nil, false, fmt.Errorf("corpus: checkpoint %s: %v", path, err)
-		}
-		return snap, set, keys, true, nil
-	}
-	snap, err = LoadAggSnapshot(br)
-	if err != nil {
-		return nil, nil, nil, false, err
-	}
-	return snap, nil, nil, false, nil
-}
-
-// ReadRunLogFile loads a run log written by WriteRunLogFile; a missing
-// file returns (nil, nil) — collectors restarted from a pre-run-log
-// snapshot (or with retention disabled) simply start with an empty
-// window.
-func ReadRunLogFile(path string) (*report.Set, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	defer f.Close()
 	gz, err := report.Gunzip(bufio.NewReader(f))
 	if err != nil {
-		return nil, fmt.Errorf("corpus: run log %s: %v", path, err)
+		return nil, nil, nil, fmt.Errorf("corpus: %s is not a checkpoint: %w (a legacy snapshot + .runs pair is converted by: cbi merge -o <new> %s)", path, err, path)
 	}
 	defer gz.Close()
-	set, err := report.UnmarshalBinary(gz)
+	snap, set, keys, err := ReadMergeSegmentKeyed(gz)
 	if err != nil {
-		return nil, fmt.Errorf("corpus: run log %s: %v", path, err)
+		return nil, nil, nil, fmt.Errorf("corpus: checkpoint %s: %v", path, err)
 	}
-	return set, nil
+	return snap, set, keys, nil
 }

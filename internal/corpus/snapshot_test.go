@@ -41,103 +41,6 @@ func TestAggSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAggSnapshotFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "collector.snap")
-
-	// Missing file is a cold start, not an error.
-	got, err := ReadAggSnapshotFile(path)
-	if err != nil || got != nil {
-		t.Fatalf("missing file: got %+v, %v; want nil, nil", got, err)
-	}
-
-	snap := sampleSnap()
-	if err := WriteAggSnapshotFile(path, snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadAggSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(snap, got) {
-		t.Fatalf("file round trip mismatch: %+v vs %+v", snap, got)
-	}
-
-	// Overwrite with new counts; rename must replace atomically.
-	snap.NumF = 100
-	snap.FobsSite[0] = 42
-	if err := WriteAggSnapshotFile(path, snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadAggSnapshotFile(path)
-	if err != nil || got.NumF != 100 || got.FobsSite[0] != 42 {
-		t.Fatalf("overwrite: got %+v, %v", got, err)
-	}
-}
-
-func TestRunLogFileRoundTrip(t *testing.T) {
-	snapPath := filepath.Join(t.TempDir(), "collector.snap")
-	path := RunLogPath(snapPath)
-	if path != snapPath+".runs" {
-		t.Fatalf("RunLogPath = %q", path)
-	}
-
-	// Missing file is a cold start (or a pre-run-log snapshot), not an
-	// error.
-	got, err := ReadRunLogFile(path)
-	if err != nil || got != nil {
-		t.Fatalf("missing file: got %+v, %v; want nil, nil", got, err)
-	}
-
-	set := &report.Set{
-		NumSites: 4,
-		NumPreds: 9,
-		Reports: []*report.Report{
-			{Failed: true, ObservedSites: []int32{0, 2}, TruePreds: []int32{1, 5, 8}},
-			{Failed: false, ObservedSites: []int32{1, 2, 3}, TruePreds: []int32{3}},
-			{Failed: false},
-		},
-	}
-	if err := WriteRunLogFile(path, set); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadRunLogFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(set, got) {
-		t.Fatalf("round trip mismatch:\nin:  %+v\nout: %+v", set, got)
-	}
-
-	// Overwrite with a shorter window; rename must replace atomically.
-	set.Reports = set.Reports[1:]
-	if err := WriteRunLogFile(path, set); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadRunLogFile(path)
-	if err != nil || len(got.Reports) != 2 {
-		t.Fatalf("overwrite: got %+v, %v", got, err)
-	}
-
-	// Corrupt bytes (not gzip, truncated gzip) are errors, not silent
-	// empty windows.
-	if err := os.WriteFile(path, []byte("not gzip at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadRunLogFile(path); err == nil {
-		t.Error("non-gzip run log: expected error")
-	}
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	set.MarshalBinary(gz)
-	gz.Close()
-	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadRunLogFile(path); err == nil {
-		t.Error("truncated run log: expected error")
-	}
-}
-
 func TestAggSnapshotErrors(t *testing.T) {
 	cases := map[string]string{
 		"empty":         "",
@@ -164,28 +67,16 @@ func TestAggSnapshotErrors(t *testing.T) {
 }
 
 // TestDefaultLevelFilesStillLoad is the at-rest half of the compression
-// policy's compatibility claim: a checkpoint and a .runs file written
-// by a stock gzip.Writer at its default level — what every collector
-// wrote before the pooled BestSpeed codec — load through the pooled
-// reader to exactly the state that was saved, the same state today's
-// writers round-trip, from files whose bytes differ.
+// policy's compatibility claim: a checkpoint written by a stock
+// gzip.Writer at its default level — what every collector wrote before
+// the pooled BestSpeed codec — loads through the pooled reader to
+// exactly the state that was saved, the same state today's writer
+// round-trips, from a file whose bytes differ. A missing file is a cold
+// start and a file cut short an error, never a silently empty state.
 func TestDefaultLevelFilesStillLoad(t *testing.T) {
 	dir := t.TempDir()
-	stdGzipFile := func(name string, fill func(*gzip.Writer) error) string {
-		t.Helper()
-		var buf bytes.Buffer
-		gz := gzip.NewWriter(&buf)
-		if err := fill(gz); err != nil {
-			t.Fatal(err)
-		}
-		if err := gz.Close(); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
+	if snap, set, keys, err := ReadCheckpointFile(filepath.Join(dir, "none.snap")); err != nil || snap != nil || set != nil || keys != nil {
+		t.Fatalf("missing file: got %v, %v, %v, %v; want all nil", snap, set, keys, err)
 	}
 	set := &report.Set{NumSites: 3, NumPreds: 5}
 	for i := 0; i < 300; i++ {
@@ -201,40 +92,42 @@ func TestDefaultLevelFilesStillLoad(t *testing.T) {
 	snap.NumF, snap.NumS, snap.Logged = 100, 200, 300
 	snap.WALSeq, snap.WALIslands = 41, []uint64{43, 47}
 
-	oldCkpt := stdGzipFile("old.snap", func(gz *gzip.Writer) error { return WriteMergeSegmentKeyed(gz, snap, set, keys) })
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	if err := WriteMergeSegmentKeyed(gz, snap, set, keys); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	oldCkpt := filepath.Join(dir, "old.snap")
+	if err := os.WriteFile(oldCkpt, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	newCkpt := filepath.Join(dir, "new.snap")
 	if err := WriteCheckpointFileRecords(newCkpt, snap, set.NumSites, set.NumPreds, recs, keys); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{oldCkpt, newCkpt} {
-		gotSnap, gotSet, gotKeys, checkpoint, err := ReadStateFileKeyed(path)
-		if err != nil || !checkpoint {
-			t.Fatalf("%s: checkpoint=%v, err %v", path, checkpoint, err)
+		gotSnap, gotSet, gotKeys, err := ReadCheckpointFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
 		if !reflect.DeepEqual(gotSnap, snap) || !reflect.DeepEqual(gotSet, set) || !reflect.DeepEqual(gotKeys, keys) {
 			t.Errorf("%s: loaded state differs from what was saved", path)
 		}
 	}
 
-	oldRuns := stdGzipFile("old.snap.runs", func(gz *gzip.Writer) error { return set.MarshalBinary(gz) })
-	newRuns := filepath.Join(dir, "new.snap.runs")
-	if err := WriteRunLogFileRecords(newRuns, set.NumSites, set.NumPreds, recs); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{oldRuns, newRuns} {
-		got, err := ReadRunLogFile(path)
-		if err != nil || !reflect.DeepEqual(got, set) {
-			t.Errorf("%s: loaded %+v, err %v", path, got, err)
-		}
-	}
-
 	// The two levels really are different encodings of one stream;
 	// otherwise this test compares a file with itself.
-	for _, pair := range [][2]string{{oldCkpt, newCkpt}, {oldRuns, newRuns}} {
-		a, _ := os.ReadFile(pair[0])
-		b, _ := os.ReadFile(pair[1])
-		if bytes.Equal(a, b) {
-			t.Errorf("%s and %s are byte-identical: the levels no longer differ", pair[0], pair[1])
-		}
+	b, _ := os.ReadFile(newCkpt)
+	if bytes.Equal(buf.Bytes(), b) {
+		t.Errorf("%s and %s are byte-identical: the levels no longer differ", oldCkpt, newCkpt)
+	}
+	if err := os.WriteFile(newCkpt, b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := ReadCheckpointFile(newCkpt); err == nil {
+		t.Error("truncated checkpoint: expected error")
 	}
 }

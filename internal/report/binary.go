@@ -25,6 +25,7 @@ package report
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -255,6 +256,23 @@ func appendDeltaList(br io.ByteReader, dim, n int, dst []int32) ([]int32, error)
 		prev = v
 	}
 	return dst, nil
+}
+
+// EncodeRecords returns each report's canonical record (its
+// AppendRecord bytes), index-aligned with reports — the form the WAL,
+// the run log and the records-direct segment writers all share, so one
+// encoding pass serves every consumer.
+func EncodeRecords(reports []*Report) [][]byte {
+	recs := make([][]byte, len(reports))
+	// AppendRecord sizes a fresh buffer for the worst case (five bytes
+	// per id); encoding through one scratch and keeping exact-size
+	// copies allocates a fifth of that.
+	var scratch []byte
+	for i, r := range reports {
+		scratch = AppendRecord(scratch[:0], r)
+		recs[i] = bytes.Clone(scratch)
+	}
+	return recs
 }
 
 // MarshalRecords writes the binary wire format directly from

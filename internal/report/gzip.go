@@ -1,7 +1,7 @@
 // Pooled gzip: the one place the system constructs gzip writers and
 // readers (TestGzipOnlyInCodec at the repository root enforces it).
 // Every compressed byte — client batches, merge pushes, snapshot and
-// export responses, checkpoint and run-log files — goes through Gzip at
+// export responses, checkpoint files — goes through Gzip at
 // one level, and every inflated byte through Gunzip. The package is
 // client-importable on purpose: the deployed client pays for
 // compression on every batch, so it shares the policy.

@@ -612,7 +612,7 @@ func (g *Gateway) fetchState(ctx context.Context, url, since string) (*shardResp
 		out.delta = seg
 		return out, nil
 	}
-	snap, set, err := corpus.ReadMergeSegment(gz)
+	snap, set, _, err := corpus.ReadMergeSegmentKeyed(gz)
 	if err != nil {
 		return nil, err
 	}
