@@ -68,3 +68,51 @@ func TestDocsLinksResolve(t *testing.T) {
 		})
 	}
 }
+
+var (
+	// `-flag` or `-flag value` in backticks (an opening backtick follows
+	// white space or punctuation; "`cbi_`-prefixed" is a closing one).
+	tickFlag = regexp.MustCompile("(?m)(?:^|[\\s(|,;:])`(-[a-z][a-z0-9-]*)(?:[ =][^`\n]*)?`")
+	// fs.String("flag", ... and friends in cmd/.
+	flagDecl = regexp.MustCompile(`\.(?:String|Int|Int64|Bool|Duration|Float64)\("([a-z][a-z0-9-]*)"`)
+	// Flags of the Go tool, which the docs cite in test commands.
+	goToolFlags = map[string]bool{"-race": true, "-count": true, "-run": true, "-cpu": true, "-bench": true, "-fuzz": true, "-fuzztime": true}
+)
+
+// TestDocsFlagsExist fails when an operator document names a
+// command-line flag no command registers: every backticked `-flag` in
+// OPERATIONS.md, METRICS.md and DESIGN.md must appear in a flag
+// declaration somewhere under cmd/.
+func TestDocsFlagsExist(t *testing.T) {
+	registered := map[string]bool{}
+	err := filepath.WalkDir("cmd", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range flagDecl.FindAllSubmatch(src, -1) {
+			registered["-"+string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(registered) < 20 {
+		t.Fatalf("found only %d flag declarations under cmd/; the pattern no longer matches how flags are declared", len(registered))
+	}
+	for _, doc := range []string{"OPERATIONS.md", "METRICS.md", "DESIGN.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range tickFlag.FindAllSubmatch(data, -1) {
+			if f := string(m[1]); !registered[f] && !goToolFlags[f] {
+				t.Errorf("%s cites `%s`, which no command under cmd/ registers", doc, f)
+			}
+		}
+	}
+}

@@ -858,18 +858,14 @@ func (a *shardedAgg) RecountFromLog() error {
 	return nil
 }
 
-// LogView returns the retained run-log records in arrival order along
-// with the log version (for cache invalidation). ok is false when
-// retention is disabled. The records are immutable and may be decoded
+// LogView returns the retained run-log records in arrival order; the
+// run log must be enabled. The records are immutable and may be decoded
 // without holding any lock; a view taken concurrently with ingestion is
 // a consistent prefix of the stream as the log saw it.
-func (a *shardedAgg) LogView() (recs [][]byte, version uint64, ok bool) {
-	if a.log == nil {
-		return nil, 0, false
-	}
+func (a *shardedAgg) LogView() [][]byte {
 	a.logMu.Lock()
 	defer a.logMu.Unlock()
-	return a.log.records(), a.log.version, true
+	return a.log.records()
 }
 
 // LogVersion returns the current run-log version (0 when disabled).
@@ -1073,17 +1069,6 @@ func (a *shardedAgg) SubtractSnapshot(snap *corpus.AggSnapshot, after func()) er
 		after()
 	}
 	return nil
-}
-
-// LogSeq returns the most recently assigned run-log append sequence
-// (0 when retention is disabled or nothing appended this boot).
-func (a *shardedAgg) LogSeq() uint64 {
-	if a.log == nil {
-		return 0
-	}
-	a.logMu.Lock()
-	defer a.logMu.Unlock()
-	return a.log.lastSeq
 }
 
 // ToAgg converts the live counters into a core.Agg, attaching each

@@ -3,6 +3,7 @@ package collector
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -22,9 +23,10 @@ import (
 const predCacheMax = 256
 
 // predictorCache caches rendered /v1/predictors bodies keyed by query
-// parameters (engine, k, affinity), each entry remembering the run-log
-// version it was computed at; any ingest bumps the version and thereby
-// invalidates every entry. One slot per combination lets dashboards
+// parameters (engine, k, affinity), each entry remembering the window
+// token (QuerySource.Window) it was computed at; any change to the
+// window changes the token and thereby invalidates every entry. The
+// empty token is never stored or served. One slot per combination lets dashboards
 // poll several engines between ingests without any of them evicting the
 // others. When a sweep of distinct queries fills the hard cap, put
 // evicts the least-recently-used entry only — the hot default-engine
@@ -36,10 +38,10 @@ type predictorCache struct {
 	entries map[string]*predCacheEntry
 }
 
-// predCacheEntry is one cached /v1/predictors body with the run-log
-// version it was computed at.
+// predCacheEntry is one cached /v1/predictors body with the window
+// token it was computed at.
 type predCacheEntry struct {
-	version uint64
+	version string
 	body    []byte
 	used    uint64 // tick of the last get or put
 }
@@ -49,12 +51,12 @@ func newPredictorCache(max int) *predictorCache {
 }
 
 // get returns the cached body for a query key when it is still current
-// at the given run-log version, bumping the entry's recency.
-func (c *predictorCache) get(key string, version uint64) []byte {
+// at the given window token, bumping the entry's recency.
+func (c *predictorCache) get(key, version string) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
-	if e == nil || e.version != version {
+	if e == nil || e.version != version || version == "" {
 		return nil
 	}
 	c.tick++
@@ -66,7 +68,10 @@ func (c *predictorCache) get(key string, version uint64) []byte {
 // has since invalidated (so the map stays bounded by the combinations
 // polled at the current version) and then, if the cap is still hit,
 // evicting the single least-recently-used entry.
-func (c *predictorCache) put(key string, version uint64, body []byte) {
+func (c *predictorCache) put(key, version string, body []byte) {
+	if version == "" {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, e := range c.entries {
@@ -98,7 +103,7 @@ func (c *predictorCache) size() int {
 
 // has reports whether a key is cached at the given version, without
 // touching recency (for tests).
-func (c *predictorCache) has(key string, version uint64) bool {
+func (c *predictorCache) has(key, version string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
@@ -119,10 +124,8 @@ type EngineEntry struct {
 	Sobs  int     `json:"sobs"`
 }
 
-// EngineEntries renders an engine ranking into response rows — shared
-// by the collector and the shard gateway so the two views marshal
-// identically.
-func EngineEntries(ranked []core.EnginePredictor) []EngineEntry {
+// engineEntries renders an engine ranking into response rows.
+func engineEntries(ranked []core.EnginePredictor) []EngineEntry {
 	out := make([]EngineEntry, len(ranked))
 	for i, p := range ranked {
 		out[i] = EngineEntry{
@@ -162,7 +165,7 @@ type CompareResponse struct {
 
 // unknownEngineError formats the 400 body for an unresolvable ?engine=
 // value: it must name the registered engines so a caller can self-fix.
-func UnknownEngineError(name string) string {
+func unknownEngineError(name string) string {
 	return fmt.Sprintf("unknown engine %q; registered engines: %s",
 		name, strings.Join(core.EngineNames(), ", "))
 }
@@ -170,7 +173,7 @@ func UnknownEngineError(name string) string {
 // parseEngines splits and validates a ?engines=a,b,... list. It
 // returns an error string suitable for a 400 body when the list is
 // empty, shorter than two entries, or names an unregistered engine.
-func ParseEngines(param string) ([]string, string) {
+func parseEngines(param string) ([]string, string) {
 	if strings.TrimSpace(param) == "" {
 		return nil, "missing engines parameter (engines=a,b); registered engines: " +
 			strings.Join(core.EngineNames(), ", ")
@@ -183,7 +186,7 @@ func ParseEngines(param string) ([]string, string) {
 			continue
 		}
 		if _, ok := core.EngineByName(n); !ok {
-			return nil, UnknownEngineError(n)
+			return nil, unknownEngineError(n)
 		}
 		if !seen[n] {
 			seen[n] = true
@@ -196,12 +199,10 @@ func ParseEngines(param string) ([]string, string) {
 	return names, ""
 }
 
-// CompareEngines scores the run log with every named engine and
-// computes pairwise rank agreement. Shared by the collector (its
-// retained window) and the gateway (the merged shard union), so the
-// two tiers answer /v1/compare identically over the same runs. Names
-// must be pre-validated via parseEngines.
-func CompareEngines(in core.Input, names []string, k int) *CompareResponse {
+// compareEngines scores the run window with every named engine and
+// computes pairwise rank agreement. Names must be pre-validated via
+// parseEngines.
+func compareEngines(in core.Input, names []string, k int) *CompareResponse {
 	resp := &CompareResponse{K: k, Engines: names, Rankings: map[string][]int{}}
 	for _, n := range names {
 		e, ok := core.EngineByName(n)
@@ -259,7 +260,7 @@ func rankCorrelation(a, b []int, k int) float64 {
 		ra = append(ra, rankOr(posA, id, miss))
 		rb = append(rb, rankOr(posB, id, miss))
 	}
-	return pearson(ra, rb, equalIntSlices(a, b))
+	return pearson(ra, rb, slices.Equal(a, b))
 }
 
 func rankOf(ids []int) map[int]int {
@@ -339,16 +340,4 @@ func commonCount(a, b []int) int {
 		}
 	}
 	return n
-}
-
-func equalIntSlices(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -208,19 +208,6 @@ func TestCompareEndpoint(t *testing.T) {
 	if cr.Pairs[0].Common == 0 {
 		t.Error("ochiai and jaccard share no top-10 members; expected heavy overlap")
 	}
-
-	for _, path := range []string{
-		"/v1/compare",                             // missing list
-		"/v1/compare?engines=ochiai",              // single engine
-		"/v1/compare?engines=ochiai,ochiai",       // one distinct engine
-		"/v1/compare?engines=ochiai,not-real",     // unregistered
-		"/v1/compare?engines=ochiai,jaccard&k=-1", // bad k
-	} {
-		code, body := getBody(t, base+path)
-		if code != http.StatusBadRequest {
-			t.Errorf("GET %s = %d, want 400 (%s)", path, code, body)
-		}
-	}
 }
 
 // TestRankAgreementMath pins the agreement helpers on hand-built
@@ -254,7 +241,7 @@ func TestRankAgreementMath(t *testing.T) {
 // hot slot a dashboard keeps polling survives the sweep.
 func TestPredictorCacheLRUBackstop(t *testing.T) {
 	c := newPredictorCache(8)
-	const v = 42
+	const v, next = "42", "43"
 	c.put("default", v, []byte("hot"))
 	for i := 0; i < 50; i++ {
 		// Keep the default slot hot while cold keys churn past the cap.
@@ -277,8 +264,8 @@ func TestPredictorCacheLRUBackstop(t *testing.T) {
 	}
 	// An ingest-style version bump prunes every stale entry on the next
 	// put, so the sweep's residue does not outlive its window.
-	c.put("fresh", v+1, []byte("y"))
-	if c.size() != 1 || !c.has("fresh", v+1) {
+	c.put("fresh", next, []byte("y"))
+	if c.size() != 1 || !c.has("fresh", next) {
 		t.Fatalf("stale entries survived version bump: size=%d", c.size())
 	}
 }

@@ -2,7 +2,6 @@ package collector
 
 import (
 	"cbi/internal/core"
-	"cbi/internal/report"
 	"cbi/internal/thermo"
 )
 
@@ -117,13 +116,4 @@ func BuildPredictors(in core.Input, maxPredictors, affinityK int) []PredictorEnt
 		out = append(out, e)
 	}
 	return out
-}
-
-// inputFromReports adapts a decoded run window into the batch
-// pipeline's input shape.
-func inputFromReports(numSites, numPreds int, siteOf []int32, reports []*report.Report) core.Input {
-	return core.Input{
-		Set:    &report.Set{NumSites: numSites, NumPreds: numPreds, Reports: reports},
-		SiteOf: siteOf,
-	}
 }

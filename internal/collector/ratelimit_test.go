@@ -58,7 +58,7 @@ func TestWriteRateLimitPerKey(t *testing.T) {
 	}
 
 	var metrics strings.Builder
-	srv.Metrics().WritePrometheus(&metrics)
+	srv.metrics.WritePrometheus(&metrics)
 	if !strings.Contains(metrics.String(), "cbi_auth_rate_limited_total 1") {
 		t.Fatalf("throttled request not counted in cbi_auth_rate_limited_total:\n%s", metrics.String())
 	}

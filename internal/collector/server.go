@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"crypto/subtle"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -16,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cbi/internal/core"
 	"cbi/internal/corpus"
 	"cbi/internal/obs"
 	"cbi/internal/plan"
@@ -287,7 +285,9 @@ type Server struct {
 	// Operational counters live in the metrics registry; /v1/stats and
 	// /metrics read the same objects, so the two views cannot disagree.
 	metrics *obs.Registry
-	httpObs *obs.HTTP
+	handler http.Handler
+
+	query *query // /v1/scores, /v1/predictors, /v1/compare (query.go)
 
 	batchesAccepted *obs.Counter
 	batchesRejected *obs.Counter
@@ -300,16 +300,6 @@ type Server struct {
 	mergedRuns      *obs.Counter
 	runlogSweeps    *obs.Counter
 	snapshotSeconds *obs.Histogram
-
-	predictorsComputed  *obs.Counter
-	predictorsCacheHits *obs.Counter
-
-	// Per-engine /v1/predictors instrumentation: requests by scoring
-	// engine, cache traffic, and the run-log scoring latency.
-	engineRequests     *obs.CounterVec
-	engineCacheHits    *obs.CounterVec
-	engineCacheMisses  *obs.CounterVec
-	engineScoreSeconds *obs.HistogramVec
 
 	replans            *obs.Counter
 	planPushes         *obs.Counter
@@ -340,10 +330,6 @@ type Server struct {
 	migrateEvicted  *obs.Counter
 	residualCommits *obs.Counter
 	exportPending   *obs.Gauge
-
-	// Cached /v1/predictors responses (see predictorCache in
-	// engines.go).
-	predCache *predictorCache
 
 	// arena recycles binary-batch decode buffers across /v1/reports
 	// requests; a batch's lease is released after the apply workers fold
@@ -417,7 +403,6 @@ func New(cfg Config) (*Server, error) {
 		accepting: true,
 		die:       make(chan struct{}),
 		dedupSeen: make(map[string][][]byte),
-		predCache: newPredictorCache(predCacheMax),
 	}
 	if cfg.RunLogSize > 0 && cfg.DeltaHistory >= 0 {
 		// Per-boot epoch: a restarted collector's version counter resets,
@@ -440,6 +425,7 @@ func New(cfg Config) (*Server, error) {
 		Now:         cfg.nowFn,
 	})
 	s.initMetrics()
+	s.initRoutes()
 
 	if cfg.SnapshotPath != "" {
 		if err := s.restore(); err != nil {
@@ -500,18 +486,6 @@ func (s *Server) initMetrics() {
 		"Runs carried by accepted merge segments' counter snapshots.")
 	s.runlogSweeps = m.Counter("cbi_collector_runlog_age_sweeps_total",
 		"Background age-retention sweeps over the run log.")
-	s.predictorsComputed = m.Counter("cbi_collector_predictors_computed_total",
-		"Full cause-isolation eliminations computed for /v1/predictors.")
-	s.predictorsCacheHits = m.Counter("cbi_collector_predictors_cache_hits_total",
-		"/v1/predictors polls served from the version-keyed cache.")
-	s.engineRequests = m.CounterVec("cbi_predictors_engine_requests_total",
-		"GET /v1/predictors requests served, by scoring engine.", "engine")
-	s.engineCacheHits = m.CounterVec("cbi_predictors_engine_cache_hits_total",
-		"/v1/predictors polls answered from the per-engine version-keyed cache.", "engine")
-	s.engineCacheMisses = m.CounterVec("cbi_predictors_engine_cache_misses_total",
-		"/v1/predictors polls that rescored the run log, by engine.", "engine")
-	s.engineScoreSeconds = m.HistogramVec("cbi_predictors_engine_score_seconds",
-		"Run-log scoring latency on /v1/predictors cache misses, by engine.", nil, "engine")
 	s.replans = m.Counter("cbi_collector_replans_total",
 		"Sampling plans published by the local closed-loop planner.")
 	s.planPushes = m.Counter("cbi_collector_plan_pushes_total",
@@ -615,20 +589,32 @@ func (s *Server) initMetrics() {
 			}
 			return 0
 		})
-
-	s.httpObs = obs.NewHTTP(obs.HTTPConfig{
-		Registry: m,
-		Paths: []string{"/v1/reports", "/v1/merge", "/v1/revoke", "/v1/snapshot", "/v1/scores",
-			"/v1/predictors", "/v1/compare", "/v1/stats", "/v1/plan", "/v1/export", "/v1/evict",
-			"/v1/residual", "/healthz", "/metrics"},
-		SlowRequest: s.cfg.SlowRequest,
-		Logf:        s.cfg.Logf,
-	})
 }
 
-// Metrics returns the server's metrics registry (also served at
-// GET /metrics).
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
+// initRoutes builds the HTTP API: the collector's own endpoints plus the
+// shared read endpoints (query.go) over the live aggregate.
+func (s *Server) initRoutes() {
+	m := s.metrics
+	rt := obs.NewRoutes(obs.HTTPConfig{Registry: m, SlowRequest: s.cfg.SlowRequest, Logf: s.cfg.Logf})
+	rt.HandleFunc("/v1/reports", s.handleReports)
+	rt.HandleFunc("/v1/merge", s.handleMerge)
+	rt.HandleFunc("/v1/revoke", s.handleRevoke)
+	rt.HandleFunc("/v1/export", s.handleExport)
+	rt.HandleFunc("/v1/evict", s.handleEvict)
+	rt.HandleFunc("/v1/residual", s.handleResidual)
+	rt.HandleFunc("/v1/snapshot", s.handleSnapshot)
+	rt.HandleFunc("/v1/stats", s.handleStats)
+	rt.HandleFunc("/v1/plan", s.handlePlan)
+	rt.HandleFunc("/healthz", s.handleHealthz)
+	s.query = mountQuery(rt, m, serverSource{s})
+	s.handler = rt.Handler(s.cfg.EnablePprof)
+	m.CounterFunc("cbi_collector_predictors_computed_total",
+		"Rankings computed for /v1/predictors (cache misses, all engines).",
+		func() float64 { return float64(s.query.computed.Load()) })
+	m.CounterFunc("cbi_collector_predictors_cache_hits_total",
+		"/v1/predictors polls served from the version-keyed cache.",
+		func() float64 { return float64(s.query.hits.Load()) })
+}
 
 // sweepLoop periodically evicts runs older than the age cap, so the
 // retained window shrinks on schedule even when no reports arrive.
@@ -678,9 +664,7 @@ func (s *Server) planInput() plan.Input {
 	observed, runs := s.agg.SiteObservedRuns()
 	in := plan.Input{Observed: observed, Runs: runs, TopSite: -1}
 	if s.cfg.PlanBoostRadius > 0 {
-		if ranked := core.TopKImportance(s.agg.ToAgg(s.cfg.SiteOf), 1); len(ranked) > 0 {
-			in.TopSite = int(s.cfg.SiteOf[ranked[0].Pred])
-		}
+		in.TopSite = TopSite(s.agg.ToAgg(s.cfg.SiteOf), s.cfg.SiteOf)
 	}
 	return in
 }
@@ -951,38 +935,18 @@ func (s *Server) forgetBatch(id string) {
 	s.dedupMu.Unlock()
 }
 
-// Handler returns the server's HTTP API, wrapped in the per-endpoint
-// metrics middleware. /metrics serves the same registry /v1/stats
-// reads; /debug/pprof/ appears only when cfg.EnablePprof is set.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/reports", s.handleReports)
-	mux.HandleFunc("/v1/merge", s.handleMerge)
-	mux.HandleFunc("/v1/revoke", s.handleRevoke)
-	mux.HandleFunc("/v1/export", s.handleExport)
-	mux.HandleFunc("/v1/evict", s.handleEvict)
-	mux.HandleFunc("/v1/residual", s.handleResidual)
-	mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
-	mux.HandleFunc("/v1/scores", s.handleScores)
-	mux.HandleFunc("/v1/predictors", s.handlePredictors)
-	mux.HandleFunc("/v1/compare", s.handleCompare)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/plan", s.handlePlan)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.Handle("/metrics", s.metrics.Handler())
-	if s.cfg.EnablePprof {
-		obs.RegisterPprof(mux)
-	}
-	return s.httpObs.Wrap(mux)
-}
+// Handler returns the server's HTTP API behind the per-endpoint metrics
+// middleware. /metrics serves the same registry /v1/stats reads;
+// /debug/pprof/ appears only when cfg.EnablePprof is set.
+func (s *Server) Handler() http.Handler { return s.handler }
 
-// authorize enforces API-key auth on a write endpoint. When keys are
-// configured, the request must present "Authorization: Bearer <key>"
-// for one of them; comparison is constant-time per key so response
-// timing leaks nothing about key contents. On rejection it writes the
-// 401 itself and returns false.
-func (s *Server) authorize(w http.ResponseWriter, r *http.Request) bool {
-	keys := *s.apiKeys.Load()
+// CheckBearer enforces API-key auth on one request: when keys is
+// non-empty, r must present "Authorization: Bearer <key>" for one of
+// them. The scheme matches in any case (RFC 7235); every key is compared
+// on every request, in constant time, so response timing leaks neither
+// key contents nor which key matched. On rejection it writes the 401,
+// with WWW-Authenticate, itself and returns false.
+func CheckBearer(w http.ResponseWriter, r *http.Request, keys []string) bool {
 	if len(keys) == 0 {
 		return true
 	}
@@ -994,42 +958,38 @@ func (s *Server) authorize(w http.ResponseWriter, r *http.Request) bool {
 	}
 	ok := false
 	for _, key := range keys {
-		// No early exit: every configured key is compared on every
-		// request so match position is not observable either.
+		// No early exit: match position must not be observable either.
 		if subtle.ConstantTimeCompare([]byte(presented), []byte(key)) == 1 {
 			ok = true
 		}
 	}
 	if !ok {
-		s.authRejected.Add(1)
-		w.Header().Set("WWW-Authenticate", `Bearer realm="cbi-collector"`)
+		w.Header().Set("WWW-Authenticate", `Bearer realm="cbi"`)
 		http.Error(w, "missing or invalid API key", http.StatusUnauthorized)
 	}
 	return ok
 }
 
-// rateLimit enforces the per-key write rate limit. The bucket key is
-// the presented bearer token when there is one (each API key gets its
-// own budget) and the client address otherwise. On a limited request
-// it writes the 429 itself — with a Retry-After naming when the next
-// token accrues — and returns false. No-op (true) when Config.RateLimit
-// is unset.
-func (s *Server) rateLimit(w http.ResponseWriter, r *http.Request) bool {
-	if s.limiter == nil {
-		return true
+// writeGate admits one request to a rate-limited write endpoint:
+// API-key auth, then the per-key token bucket (no-op when
+// Config.RateLimit is unset). Either refusal is written and counted.
+func (s *Server) writeGate(w http.ResponseWriter, r *http.Request) bool {
+	if !s.authorize(w, r) {
+		return false
 	}
-	key := r.Header.Get("Authorization")
-	if key == "" {
-		key = r.RemoteAddr
-		if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-			key = host
-		}
-	}
-	ok, retry := s.limiter.Allow(key, time.Now())
-	if !ok {
+	if !s.limiter.AllowRequest(w, r) {
 		s.rateLimited.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(ratelimit.RetrySeconds(retry)))
-		http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
+		return false
+	}
+	return true
+}
+
+// authorize enforces API-key auth on a write endpoint against the live
+// key set, counting rejections.
+func (s *Server) authorize(w http.ResponseWriter, r *http.Request) bool {
+	ok := CheckBearer(w, r, *s.apiKeys.Load())
+	if !ok {
+		s.authRejected.Add(1)
 	}
 	return ok
 }
@@ -1086,10 +1046,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if !s.authorize(w, r) {
-		return
-	}
-	if !s.rateLimit(w, r) {
+	if !s.writeGate(w, r) {
 		return
 	}
 	reader, closer, ok := s.postBodyReader(w, r)
@@ -1099,23 +1056,11 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	if closer != nil {
 		defer closer.Close()
 	}
-	// Accept both codecs, sniffed by magic: "CBR1" (binary wire format)
-	// or the "cbi-reports" text header. Binary batches — the hot path —
-	// decode through the pooled arena; the lease travels with the batch
-	// and is released once the apply workers have folded it in. Every
-	// pre-enqueue exit must release it instead.
-	magic, err := reader.Peek(4)
-	if err != nil {
-		http.Error(w, "empty body", http.StatusBadRequest)
-		return
-	}
-	var set *report.Set
-	var lease *report.Lease
-	if string(magic) == "CBR1" {
-		set, lease, err = s.arena.Decode(reader)
-	} else {
-		set, err = report.Unmarshal(reader)
-	}
+	// The wire format is the binary one only (anything else fails the
+	// decoder's magic check). Batches decode through the pooled arena; the
+	// lease travels with the batch and is released once the apply workers
+	// have folded it in. Every pre-enqueue exit must release it instead.
+	set, lease, err := s.arena.Decode(reader)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
 		return
@@ -1178,9 +1123,6 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	// log both take those bytes instead of encoding the reports again.
 	b := &ingestBatch{id: batchID, key: batchKey(r, batchID), reports: set.Reports, recs: lease.Records(), lease: lease}
 	if s.cfg.WALPath != "" {
-		if b.recs == nil {
-			b.recs = report.EncodeRecords(set.Reports)
-		}
 		kind := byte(corpus.WALBatch)
 		if b.key != corpus.NoKey {
 			kind = corpus.WALKeyedBatch
@@ -1238,10 +1180,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if !s.authorize(w, r) {
-		return
-	}
-	if !s.rateLimit(w, r) {
+	if !s.writeGate(w, r) {
 		return
 	}
 	reader, closer, ok := s.postBodyReader(w, r)
@@ -1334,8 +1273,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 // copy bit-for-bit to the version in the response headers; otherwise
 // the full export is returned and the client resyncs from it.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
+	if !getOnly(w, r) {
 		return
 	}
 	if since := r.URL.Query().Get("since"); since != "" && s.agg.DeltaCapable() {
@@ -1389,182 +1327,8 @@ func parseSince(v string) (epoch, ver uint64, ok bool) {
 	return epoch, ver, err1 == nil && err2 == nil
 }
 
-func (s *Server) handleScores(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	k := 20
-	if q := r.URL.Query().Get("k"); q != "" {
-		if _, err := fmt.Sscanf(q, "%d", &k); err != nil {
-			http.Error(w, "bad k", http.StatusBadRequest)
-			return
-		}
-	}
-	writeJSON(w, ScoreEntries(core.TopKImportance(s.agg.ToAgg(s.cfg.SiteOf), k)))
-}
-
-// ScoreEntries converts a TopKImportance ranking into /v1/scores
-// response rows — shared by the collector and the shard gateway so the
-// two views marshal identically.
-func ScoreEntries(ranked []core.PredScore) []ScoreEntry {
-	out := make([]ScoreEntry, len(ranked))
-	for i, ps := range ranked {
-		out[i] = ScoreEntry{
-			Pred:         ps.Pred,
-			Importance:   ps.Scores.Importance,
-			ImportanceCI: ps.Scores.ImportanceCI,
-			Increase:     ps.Scores.Increase,
-			IncreaseCI:   ps.Scores.IncreaseCI,
-			Failure:      ps.Scores.Failure,
-			Context:      ps.Scores.Context,
-			F:            ps.Stats.F,
-			S:            ps.Stats.S,
-			Fobs:         ps.Stats.Fobs,
-			Sobs:         ps.Stats.Sobs,
-		}
-	}
-	return out
-}
-
-// predCacheGet returns the cached body for a query key when it is
-// still current at the given run-log version.
-func (s *Server) predCacheGet(key string, version uint64) []byte {
-	return s.predCache.get(key, version)
-}
-
-// predCachePut stores a computed body (see predictorCache.put for the
-// pruning and LRU-backstop rules).
-func (s *Server) predCachePut(key string, version uint64, body []byte) {
-	s.predCache.put(key, version, body)
-}
-
-// handlePredictors serves ranked bug predictors over the retained run
-// window, scored by a pluggable engine. Query parameters: engine
-// selects the scoring engine (default "eliminate", the paper's
-// pipeline — core.Eliminate with affinity lists and thermometers,
-// exactly what the batch pipeline produces over the same runs; see
-// BuildPredictors and core.EngineNames for the alternatives), k caps
-// the ranked list (default 20, 0 = no cap) and affinity caps each
-// predictor's affinity list (default 5, 0 = none; default engine
-// only). An unknown engine is a 400 naming the registered engines.
-// Responses are cached per (engine, k, affinity) and invalidated
-// whenever a run is ingested or evicted, so repeated polls between
-// ingests never rescan the log — each engine holds its own slot.
-func (s *Server) handlePredictors(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	k, affinityK := 20, 5
-	for _, q := range []struct {
-		name string
-		dst  *int
-	}{{"k", &k}, {"affinity", &affinityK}} {
-		if v := r.URL.Query().Get(q.name); v != "" {
-			if _, err := fmt.Sscanf(v, "%d", q.dst); err != nil || *q.dst < 0 {
-				http.Error(w, "bad "+q.name, http.StatusBadRequest)
-				return
-			}
-		}
-	}
-	engineName := r.URL.Query().Get("engine")
-	if engineName == "" {
-		engineName = core.DefaultEngineName
-	}
-	eng, ok := core.EngineByName(engineName)
-	if !ok {
-		http.Error(w, UnknownEngineError(engineName), http.StatusBadRequest)
-		return
-	}
-	s.engineRequests.With(engineName).Inc()
-	key := fmt.Sprintf("engine=%s&k=%d&affinity=%d", engineName, k, affinityK)
-
-	version := s.agg.LogVersion()
-	if body := s.predCacheGet(key, version); body != nil {
-		s.predictorsCacheHits.Add(1)
-		s.engineCacheHits.With(engineName).Inc()
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-		return
-	}
-
-	recs, version, ok := s.agg.LogView()
-	if !ok {
-		http.Error(w, "run log disabled (collector started with RunLogSize < 0)", http.StatusNotImplemented)
-		return
-	}
-	reports, err := decodeRecords(recs, s.cfg.NumSites, s.cfg.NumPreds)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	in := inputFromReports(s.cfg.NumSites, s.cfg.NumPreds, s.cfg.SiteOf, reports)
-	s.engineCacheMisses.With(engineName).Inc()
-	start := time.Now()
-	var payload any
-	if engineName == core.DefaultEngineName {
-		payload = BuildPredictors(in, k, affinityK)
-	} else {
-		payload = EngineEntries(eng.Score(in, k))
-	}
-	s.engineScoreSeconds.With(engineName).ObserveDuration(time.Since(start))
-	s.predictorsComputed.Add(1)
-
-	body, err := json.Marshal(payload)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	body = append(body, '\n')
-	s.predCachePut(key, version, body)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
-
-// handleCompare serves GET /v1/compare?engines=a,b[&k=20]: every named
-// engine's top-k ranking over the same retained run window, plus
-// pairwise rank agreement (Spearman over the union of the two lists,
-// top-K overlap, common-member count). Side-by-side answers from one
-// snapshot of the log — the engines are never scored against different
-// windows.
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	k := 20
-	if v := r.URL.Query().Get("k"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &k); err != nil || k < 0 {
-			http.Error(w, "bad k", http.StatusBadRequest)
-			return
-		}
-	}
-	names, errMsg := ParseEngines(r.URL.Query().Get("engines"))
-	if errMsg != "" {
-		http.Error(w, errMsg, http.StatusBadRequest)
-		return
-	}
-	recs, _, ok := s.agg.LogView()
-	if !ok {
-		http.Error(w, "run log disabled (collector started with RunLogSize < 0)", http.StatusNotImplemented)
-		return
-	}
-	reports, err := decodeRecords(recs, s.cfg.NumSites, s.cfg.NumPreds)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	in := inputFromReports(s.cfg.NumSites, s.cfg.NumPreds, s.cfg.SiteOf, reports)
-	for _, n := range names {
-		s.engineRequests.With(n).Inc()
-	}
-	writeJSON(w, CompareEngines(in, names, k))
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
+	if !getOnly(w, r) {
 		return
 	}
 	writeJSON(w, s.StatsNow())
@@ -1598,8 +1362,8 @@ func (s *Server) StatsNow() Stats {
 		RunLogEvicted:       ls.evicted,
 		RunLogBytes:         ls.bytes,
 		RunLogMaxBytes:      ls.maxBytes,
-		PredictorsComputed:  s.predictorsComputed.Value(),
-		PredictorsCacheHits: s.predictorsCacheHits.Value(),
+		PredictorsComputed:  s.query.computed.Load(),
+		PredictorsCacheHits: s.query.hits.Load(),
 		AuthRejected:        s.authRejected.Value(),
 		MergesAccepted:      s.mergesAccepted.Value(),
 		MergedRuns:          s.mergedRuns.Value(),
@@ -1680,12 +1444,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Write([]byte("ok\n"))
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
 }
 
 // Serve accepts HTTP connections on l until Shutdown or Close.

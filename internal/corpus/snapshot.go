@@ -120,56 +120,6 @@ func MergeAggSnapshot(dst, src *AggSnapshot) error {
 	return nil
 }
 
-// SubtractAggSnapshot removes src's counters from dst — the inverse of
-// MergeAggSnapshot, used when a draining shard hands its beyond-window
-// residual counters to a successor and must stop counting them itself.
-// Underflow is an error: the caller computed src from dst's own state,
-// so going negative means the two no longer describe the same runs.
-func SubtractAggSnapshot(dst, src *AggSnapshot) error {
-	if src.NumSites != dst.NumSites || src.NumPreds != dst.NumPreds {
-		return fmt.Errorf("corpus: subtracting snapshot %dx%d from %dx%d",
-			src.NumSites, src.NumPreds, dst.NumSites, dst.NumPreds)
-	}
-	if src.NumF > dst.NumF || src.NumS > dst.NumS {
-		return fmt.Errorf("corpus: snapshot subtraction underflows run totals")
-	}
-	for i, v := range src.FobsSite {
-		if v > dst.FobsSite[i] {
-			return fmt.Errorf("corpus: snapshot subtraction underflows site %d", i)
-		}
-	}
-	for i, v := range src.SobsSite {
-		if v > dst.SobsSite[i] {
-			return fmt.Errorf("corpus: snapshot subtraction underflows site %d", i)
-		}
-	}
-	for i, v := range src.FPred {
-		if v > dst.FPred[i] {
-			return fmt.Errorf("corpus: snapshot subtraction underflows predicate %d", i)
-		}
-	}
-	for i, v := range src.SPred {
-		if v > dst.SPred[i] {
-			return fmt.Errorf("corpus: snapshot subtraction underflows predicate %d", i)
-		}
-	}
-	dst.NumF -= src.NumF
-	dst.NumS -= src.NumS
-	for i, v := range src.FobsSite {
-		dst.FobsSite[i] -= v
-	}
-	for i, v := range src.SobsSite {
-		dst.SobsSite[i] -= v
-	}
-	for i, v := range src.FPred {
-		dst.FPred[i] -= v
-	}
-	for i, v := range src.SPred {
-		dst.SPred[i] -= v
-	}
-	return nil
-}
-
 // ToAgg converts the snapshot counters into a core.Agg, attaching each
 // predicate's site-observation counts via siteOf — the exact shape
 // core.Aggregate produces, so all of core's scoring applies to merged

@@ -125,6 +125,37 @@ func (h *HTTP) Wrap(next http.Handler) http.Handler {
 	})
 }
 
+// Routes is one tier's route table: a ServeMux that records every path as
+// it is registered, so the closed label set of the request metrics is the
+// table itself and a new endpoint cannot be silently labelled "other".
+type Routes struct {
+	cfg HTTPConfig
+	mux *http.ServeMux
+}
+
+// NewRoutes starts an empty route table; cfg.Paths is filled by
+// HandleFunc.
+func NewRoutes(cfg HTTPConfig) *Routes {
+	return &Routes{cfg: cfg, mux: http.NewServeMux()}
+}
+
+// HandleFunc registers h under the exact path.
+func (rt *Routes) HandleFunc(path string, h http.HandlerFunc) {
+	rt.cfg.Paths = append(rt.cfg.Paths, path)
+	rt.mux.HandleFunc(path, h)
+}
+
+// Handler mounts GET /metrics over cfg.Registry and, when pprof is set,
+// the profiling handlers, and returns the table behind the request
+// instrumentation. Call it once, after the last HandleFunc.
+func (rt *Routes) Handler(pprof bool) http.Handler {
+	rt.HandleFunc("/metrics", rt.cfg.Registry.Handler().ServeHTTP)
+	if pprof {
+		RegisterPprof(rt.mux)
+	}
+	return NewHTTP(rt.cfg).Wrap(rt.mux)
+}
+
 // RegisterPprof mounts the net/http/pprof handlers under /debug/pprof/
 // on mux. Profiling is opt-in per server (`-pprof`): the handlers can
 // reveal heap contents and cost CPU, so they stay off unless an

@@ -113,6 +113,47 @@ func TestMiddlewareSlowRequestLog(t *testing.T) {
 	}
 }
 
+// TestRoutesLabelWhatTheyRegister: a path is in the metrics' closed label
+// set exactly when it was registered — there is no second list to forget
+// — and /metrics (always) and pprof (on request) come with the table.
+func TestRoutesLabelWhatTheyRegister(t *testing.T) {
+	status := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, pprof := range []bool{false, true} {
+		reg := NewRegistry()
+		rt := NewRoutes(HTTPConfig{Registry: reg})
+		rt.HandleFunc("/v1/thing", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("ok")) })
+		ts := httptest.NewServer(rt.Handler(pprof))
+		defer ts.Close()
+
+		mustGet(t, ts.URL+"/v1/thing")
+		mustGet(t, ts.URL+"/v1/unregistered")
+		if got := status(ts.URL + "/metrics"); got != http.StatusOK {
+			t.Fatalf("GET /metrics = %d, want 200", got)
+		}
+		if got, want := status(ts.URL+"/debug/pprof/"), map[bool]int{false: 404, true: 200}[pprof]; got != want {
+			t.Errorf("pprof=%v: GET /debug/pprof/ = %d, want %d", pprof, got, want)
+		}
+		out := render(reg)
+		for _, want := range []string{
+			`cbi_http_requests_total{path="/v1/thing",code="2xx"} 1`,
+			`cbi_http_requests_total{path="/metrics",code="2xx"} 1`,
+			`cbi_http_requests_total{path="other",code="4xx"} `,
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("pprof=%v: metrics missing %q in:\n%s", pprof, want, out)
+			}
+		}
+	}
+}
+
 func TestRegisterPprof(t *testing.T) {
 	mux := http.NewServeMux()
 	RegisterPprof(mux)

@@ -10,6 +10,9 @@
 package ratelimit
 
 import (
+	"net"
+	"net/http"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -86,6 +89,30 @@ func (l *PerKey) Allow(key string, now time.Time) (ok bool, retryAfter time.Dura
 	}
 	deficit := 1 - b.tokens
 	return false, time.Duration(deficit / l.rate * float64(time.Second))
+}
+
+// AllowRequest is Allow for an HTTP write endpoint. The bucket key is the
+// presented Authorization header when there is one (each API key gets its
+// own budget) and the peer host otherwise. On a limited request it writes
+// the 429 itself, with a Retry-After naming when the next token accrues,
+// and returns false.
+func (l *PerKey) AllowRequest(w http.ResponseWriter, r *http.Request) bool {
+	if l == nil {
+		return true
+	}
+	key := r.Header.Get("Authorization")
+	if key == "" {
+		key = r.RemoteAddr
+		if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
+			key = host
+		}
+	}
+	ok, retry := l.Allow(key, time.Now())
+	if !ok {
+		w.Header().Set("Retry-After", strconv.Itoa(RetrySeconds(retry)))
+		http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
+	}
+	return ok
 }
 
 // evictStalest recycles the bucket with the oldest refill time.

@@ -129,7 +129,7 @@ func (l *Lease) decode(r io.Reader) (*Set, error) {
 		return nil, fmt.Errorf("report: binary magic: %v", err)
 	}
 	if string(w.buf[:len(binaryMagic)]) != binaryMagic {
-		return nil, fmt.Errorf("report: bad binary magic %q", w.buf[:len(binaryMagic)])
+		return nil, fmt.Errorf("report: bad binary magic %q, want %q", w.buf[:len(binaryMagic)], binaryMagic)
 	}
 	w.off = len(binaryMagic)
 	numSites, err := w.dim("numSites")

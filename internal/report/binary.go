@@ -147,7 +147,7 @@ func UnmarshalBinary(r io.Reader) (*Set, error) {
 		return nil, fmt.Errorf("report: binary magic: %v", err)
 	}
 	if string(magic[:]) != binaryMagic {
-		return nil, fmt.Errorf("report: bad binary magic %q", magic[:])
+		return nil, fmt.Errorf("report: bad binary magic %q, want %q", magic[:], binaryMagic)
 	}
 	numSites, err := readDim(br, "numSites")
 	if err != nil {

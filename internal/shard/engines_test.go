@@ -120,18 +120,6 @@ func TestGatewayEngineEquivalence(t *testing.T) {
 	if _, refCmp := rawGet(t, ref.URL+cmp); !bytes.Equal(gwCmp, refCmp) {
 		t.Fatal("merged /v1/compare differs from single collector")
 	}
-
-	// Unknown engines 400 on the gateway exactly as on a collector.
-	code, body := rawGet(t, gw.URL+"/v1/predictors?engine=bogus")
-	if code != http.StatusBadRequest {
-		t.Fatalf("gateway unknown engine = %d, want 400", code)
-	}
-	if !strings.Contains(string(body), "registered engines") || !strings.Contains(string(body), "eliminate") {
-		t.Errorf("gateway 400 body does not list registered engines: %q", body)
-	}
-	if code, _ := rawGet(t, gw.URL+"/v1/compare?engines=ochiai"); code != http.StatusBadRequest {
-		t.Errorf("gateway single-engine compare = %d, want 400", code)
-	}
 }
 
 // TestRouterReadRelay: the router relays /v1/predictors and

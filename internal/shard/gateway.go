@@ -3,10 +3,12 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -84,17 +86,22 @@ type GatewayConfig struct {
 	PlanPushKey string
 }
 
-// Gateway is the read-path of a sharded collector deployment: it fans a
-// query out to every shard, pulls each shard's counter snapshot and
-// run-log segment, and merges them into exactly the responses one
-// unsharded collector would serve. Counters merge by addition (they are
-// sums over disjoint run sets); run logs merge by concatenation, and
-// because every core analysis step is order-independent with
-// deterministic tie-breaking, the merged /v1/predictors output is
-// element-for-element identical to single-collector output over the
+// Gateway is the read-path of a sharded collector deployment: it is a
+// collector.QuerySource over the union of the shards, so /v1/scores,
+// /v1/predictors and /v1/compare are the collector's own handlers and
+// answer exactly as one unsharded collector would. Counters merge by
+// addition (they are sums over disjoint run sets); run windows merge by
+// concatenation, and because every core analysis step is
+// order-independent with deterministic tie-breaking, the merged output
+// is element-for-element identical to single-collector output over the
 // same runs.
 //
-// The gateway is stateless — every query re-fetches — so it needs no
+// The gateway holds one warm view per shard (counters + run window as
+// of an epoch:version) and every query advances each view by a delta
+// pull before answering; rendered /v1/predictors bodies are cached under
+// the vector of the views' versions, so a poll that finds no shard
+// changed costs the pulls and nothing else. Both are soft state — a
+// restarted gateway refills them with one full pull — so it needs no
 // recovery story and any number of gateways can front the same shards.
 // A shard that fails to answer is skipped and counted in
 // degraded_shards; the gateway serves the union of the live shards
@@ -106,7 +113,6 @@ type Gateway struct {
 	handler http.Handler
 
 	metrics           *obs.Registry
-	engineRequests    *obs.CounterVec   // merged /v1/predictors answers per engine
 	fanoutSeconds     *obs.HistogramVec // per-shard snapshot fetch latency
 	mergeSeconds      *obs.Histogram    // counter+run-log fold duration
 	degradedShards    *obs.Gauge        // shards that failed the last fan-out
@@ -199,8 +205,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		m = obs.NewRegistry()
 	}
 	g.metrics = m
-	g.engineRequests = m.CounterVec("cbi_predictors_engine_requests_total",
-		"Merged predictor rankings served, labelled by scoring engine.", "engine")
 	g.fanoutSeconds = m.HistogramVec("cbi_gateway_fanout_seconds",
 		"Per-shard /v1/snapshot fetch latency during a fan-out, in seconds.", nil, "shard")
 	g.mergeSeconds = m.Histogram("cbi_gateway_merge_seconds",
@@ -236,7 +240,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	m.GaugeFunc("cbi_gateway_warm_runs",
 		"Runs held across the gateway's warm per-shard state views.", func() float64 {
 			total := 0
-			for _, ws := range g.shards.views() {
+			for _, ws := range g.shards.all() {
 				ws.mu.Lock()
 				if ws.valid {
 					total += len(ws.window)
@@ -256,23 +260,12 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 			}
 			return 0
 		})
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/scores", g.handleScores)
-	mux.HandleFunc("/v1/predictors", g.handlePredictors)
-	mux.HandleFunc("/v1/compare", g.handleCompare)
-	mux.HandleFunc("/v1/stats", g.handleStats)
-	mux.HandleFunc("/v1/plan", g.handlePlan)
-	mux.HandleFunc("/healthz", g.handleHealthz)
-	mux.Handle("/metrics", m.Handler())
-	if cfg.EnablePprof {
-		obs.RegisterPprof(mux)
-	}
-	g.handler = obs.NewHTTP(obs.HTTPConfig{
-		Registry:    m,
-		Paths:       []string{"/v1/scores", "/v1/predictors", "/v1/compare", "/v1/stats", "/v1/plan", "/healthz", "/metrics"},
-		SlowRequest: cfg.SlowRequest,
-		Logf:        cfg.Logf,
-	}).Wrap(mux)
+	rt := obs.NewRoutes(obs.HTTPConfig{Registry: m, SlowRequest: cfg.SlowRequest, Logf: cfg.Logf})
+	collector.MountQuery(rt, m, gatewaySource{g})
+	rt.HandleFunc("/v1/stats", g.handleStats)
+	rt.HandleFunc("/v1/plan", g.handlePlan)
+	rt.HandleFunc("/healthz", g.handleHealthz)
+	g.handler = rt.Handler(cfg.EnablePprof)
 	if cfg.PlanEvery > 0 {
 		go g.planLoop()
 	}
@@ -287,75 +280,49 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	return g, nil
 }
 
-// shardSet is the gateway's live shard list plus the warm per-shard
-// state views, keyed by URL so a view survives ring reloads that leave
-// its shard in place.
+// shardSet is the gateway's live shard set: one warm view per shard, in
+// ring order. The slice is replaced, never written, so readers use it
+// without a copy; a view survives ring reloads that leave its shard in
+// place.
 type shardSet struct {
-	mu   sync.Mutex
-	urls []string
-	warm map[string]*warmShard
+	mu    sync.Mutex
+	views []*warmShard
 }
 
-// list returns the current shard URLs (a copy).
+func (s *shardSet) all() []*warmShard {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.views
+}
+
+// list returns the current shard URLs.
 func (s *shardSet) list() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.urls...)
-}
-
-// views returns the current warm views (a copy of the map's values).
-func (s *shardSet) views() []*warmShard {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*warmShard, 0, len(s.warm))
-	for _, ws := range s.warm {
-		out = append(out, ws)
+	views := s.all()
+	urls := make([]string, len(views))
+	for i, ws := range views {
+		urls[i] = ws.url
 	}
-	return out
-}
-
-// viewFor returns the warm view for a shard URL, creating it if needed.
-func (s *shardSet) viewFor(url string) *warmShard {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.warm == nil {
-		s.warm = make(map[string]*warmShard)
-	}
-	ws, ok := s.warm[url]
-	if !ok {
-		ws = &warmShard{}
-		s.warm[url] = ws
-	}
-	return ws
+	return urls
 }
 
 // replace swaps in a new shard list, dropping warm views for departed
 // shards. It reports whether the list changed.
 func (s *shardSet) replace(urls []string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	same := len(urls) == len(s.urls)
-	if same {
-		for i := range urls {
-			if urls[i] != s.urls[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
+	old := s.all()
+	if slices.EqualFunc(old, urls, func(ws *warmShard, u string) bool { return ws.url == u }) {
 		return false
 	}
-	keep := make(map[string]bool, len(urls))
-	for _, u := range urls {
-		keep[u] = true
-	}
-	for u := range s.warm {
-		if !keep[u] {
-			delete(s.warm, u)
+	views := make([]*warmShard, len(urls))
+	for i, u := range urls {
+		if j := slices.IndexFunc(old, func(ws *warmShard) bool { return ws.url == u }); j >= 0 {
+			views[i] = old[j]
+		} else {
+			views[i] = &warmShard{url: u}
 		}
 	}
-	s.urls = append([]string(nil), urls...)
+	s.mu.Lock()
+	s.views = views
+	s.mu.Unlock()
 	return true
 }
 
@@ -426,18 +393,22 @@ func (g *Gateway) Metrics() *obs.Registry { return g.metrics }
 // Handler returns the gateway's HTTP handler.
 func (g *Gateway) Handler() http.Handler { return g.handler }
 
-// shardState is one shard's contribution to a merged query.
-type shardState struct {
-	snap *corpus.AggSnapshot
-	set  *report.Set
-	err  error
+// shardView is one shard's answer to a pull, the caller's to read
+// without locks: snap is a private copy, and later delta pulls only
+// append past a captured window or reslice it.
+type shardView struct {
+	snap   *corpus.AggSnapshot // counters; nil when a warm view was not asked for them
+	window []*report.Report    // retained runs
+	// state is the view's "epoch:version"; "" when the shard serves no
+	// state version (or delta sync is off), so nothing names this state.
+	state string
+	err   error
 }
 
 // warmShard is one shard's cached state: the counter snapshot and run
 // window as of (epoch, version), advanced in place by delta pulls.
-// Queries receive clones, never the cached objects, so a later delta
-// apply cannot race a reader.
 type warmShard struct {
+	url     string
 	mu      sync.Mutex
 	valid   bool
 	epoch   uint64
@@ -446,42 +417,44 @@ type warmShard struct {
 	window  []*report.Report
 }
 
-// clone returns an independent copy of the warm state for one query.
-// The snapshot arrays are deep-copied; the window shares the immutable
-// report pointers under a fresh slice header.
-func (ws *warmShard) clone() (*corpus.AggSnapshot, *report.Set) {
-	snap := ws.snap.Clone()
-	return snap, &report.Set{
-		NumSites: snap.NumSites,
-		NumPreds: snap.NumPreds,
-		Reports:  append([]*report.Report(nil), ws.window...),
+// view captures the warm state for one query; callers hold ws.mu. Later
+// deltas mutate the snapshot in place, so a query that reads the
+// counters gets a deep copy and one that does not gets none.
+func (ws *warmShard) view(counters bool) shardView {
+	v := shardView{window: ws.window, state: fmt.Sprintf("%d:%d", ws.epoch, ws.version)}
+	if counters {
+		v.snap = ws.snap.Clone()
 	}
+	return v
 }
 
-// fetchAll pulls every shard's state concurrently — incrementally where
-// a warm view exists, full otherwise. Failed shards come back with err
-// set; the caller decides how degraded is too degraded.
-func (g *Gateway) fetchAll(ctx context.Context) []shardState {
-	shards := g.shards.list()
-	out := make([]shardState, len(shards))
+// pull brings every shard's state up to date concurrently —
+// incrementally where a warm view exists, full otherwise — and returns
+// one view per shard, with the counters only when asked. Failed shards
+// come back with err set; the caller decides how degraded is too
+// degraded.
+func (g *Gateway) pull(ctx context.Context, counters bool) []shardView {
+	shards := g.shards.all()
+	out := make([]shardView, len(shards))
 	var wg sync.WaitGroup
-	for i, url := range shards {
+	for i, ws := range shards {
 		wg.Add(1)
-		go func(i int, url string) {
+		go func(i int, ws *warmShard) {
 			defer wg.Done()
 			start := time.Now()
-			out[i].snap, out[i].set, out[i].err = g.fetchShard(ctx, url)
+			out[i] = g.fetchShard(ctx, ws, counters)
 			shard := strconv.Itoa(i)
 			g.fanoutSeconds.With(shard).ObserveDuration(time.Since(start))
 			if out[i].err != nil {
 				g.shardErrors.With(shard).Inc()
+				g.logf("shard: gateway: shard %d unavailable: %v", i, out[i].err)
 			}
-		}(i, url)
+		}(i, ws)
 	}
 	wg.Wait()
 	down := 0
-	for _, st := range out {
-		if st.err != nil {
+	for _, v := range out {
+		if v.err != nil {
 			down++
 		}
 	}
@@ -496,18 +469,7 @@ func (g *Gateway) fetchAll(ctx context.Context) []shardState {
 // delta support, history evicted) replaces the warm view wholesale. A
 // network or HTTP failure degrades the shard for this query and leaves
 // the warm view untouched, ready for the next delta.
-func (g *Gateway) fetchShard(ctx context.Context, url string) (*corpus.AggSnapshot, *report.Set, error) {
-	if g.cfg.DisableDeltaSync {
-		res, err := g.fetchState(ctx, url, "")
-		if err != nil {
-			return nil, nil, err
-		}
-		if res.delta != nil {
-			return nil, nil, fmt.Errorf("shard sent a delta to an unconditional snapshot request")
-		}
-		return res.snap, res.set, nil
-	}
-	ws := g.shards.viewFor(url)
+func (g *Gateway) fetchShard(ctx context.Context, ws *warmShard, counters bool) shardView {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	for attempt := 0; attempt < 2; attempt++ {
@@ -515,40 +477,38 @@ func (g *Gateway) fetchShard(ctx context.Context, url string) (*corpus.AggSnapsh
 		if ws.valid {
 			since = fmt.Sprintf("%d:%d", ws.epoch, ws.version)
 		}
-		res, err := g.fetchState(ctx, url, since)
+		res, err := g.fetchState(ctx, ws.url, since)
 		if err != nil {
-			return nil, nil, err
+			return shardView{err: err}
 		}
 		if res.delta == nil {
 			g.fullPulls.Inc()
-			if res.hasState {
+			if res.hasState && !g.cfg.DisableDeltaSync {
 				ws.valid, ws.epoch, ws.version = true, res.epoch, res.version
 				ws.snap, ws.window = res.snap, res.set.Reports
-				snap, set := ws.clone()
-				return snap, set, nil
+				return ws.view(counters)
 			}
-			// The shard serves no state versions (delta disabled there);
-			// nothing to keep warm.
+			// No state version to resume from (delta sync is off, there or
+			// here): nothing to keep warm, and nothing else holds res.
 			ws.valid, ws.snap, ws.window = false, nil, nil
-			return res.snap, res.set, nil
+			return shardView{snap: res.snap, window: res.set.Reports}
 		}
 		seg := res.delta
 		if ws.valid && seg.Epoch == ws.epoch && seg.From == ws.version {
-			window, err := corpus.ApplyDelta(ws.snap, ws.window, seg)
+			advanced, err := corpus.ApplyDelta(ws.snap, ws.window, seg)
 			if err == nil {
-				ws.window, ws.version = window, seg.To
+				ws.window, ws.version = advanced, seg.To
 				g.deltaPulls.Inc()
-				snap, set := ws.clone()
-				return snap, set, nil
+				return ws.view(counters)
 			}
-			g.logf("shard: gateway: delta apply failed for %s: %v; resyncing", url, err)
+			g.logf("shard: gateway: delta apply failed for %s: %v; resyncing", ws.url, err)
 		}
 		// The delta does not continue the state we hold (or failed to
 		// apply): drop the warm view and resync with a full fetch.
 		ws.valid, ws.snap, ws.window = false, nil, nil
 		g.deltaFallbacks.Inc()
 	}
-	return nil, nil, fmt.Errorf("shard answered an unconditional snapshot request with a delta")
+	return shardView{err: fmt.Errorf("shard answered an unconditional snapshot request with a delta")}
 }
 
 // shardResponse is one decoded /v1/snapshot response: either a full
@@ -601,171 +561,106 @@ func (g *Gateway) fetchState(ctx context.Context, url, since string) (*shardResp
 		if err != nil {
 			return nil, fmt.Errorf("delta segment: %v", err)
 		}
-		if seg.NumSites != g.cfg.NumSites || seg.NumPreds != g.cfg.NumPreds {
-			return nil, fmt.Errorf("shard delta dimensions %dx%d do not match gateway %dx%d",
-				seg.NumSites, seg.NumPreds, g.cfg.NumSites, g.cfg.NumPreds)
-		}
-		if g.cfg.Fingerprint != 0 && seg.Fingerprint != 0 && seg.Fingerprint != g.cfg.Fingerprint {
-			return nil, fmt.Errorf("shard delta fingerprint %016x does not match gateway %016x",
-				seg.Fingerprint, g.cfg.Fingerprint)
-		}
 		out.delta = seg
-		return out, nil
+		return out, g.checkPlan("delta", seg.NumSites, seg.NumPreds, seg.Fingerprint)
 	}
 	snap, set, _, err := corpus.ReadMergeSegmentKeyed(gz)
 	if err != nil {
 		return nil, err
 	}
-	if snap.NumSites != g.cfg.NumSites || snap.NumPreds != g.cfg.NumPreds {
-		return nil, fmt.Errorf("shard dimensions %dx%d do not match gateway %dx%d",
-			snap.NumSites, snap.NumPreds, g.cfg.NumSites, g.cfg.NumPreds)
-	}
-	if g.cfg.Fingerprint != 0 && snap.Fingerprint != 0 && snap.Fingerprint != g.cfg.Fingerprint {
-		return nil, fmt.Errorf("shard fingerprint %016x does not match gateway %016x",
-			snap.Fingerprint, g.cfg.Fingerprint)
-	}
 	out.snap, out.set = snap, set
-	return out, nil
+	return out, g.checkPlan("snapshot", snap.NumSites, snap.NumPreds, snap.Fingerprint)
 }
 
-// merge folds the live shards' states into one snapshot and one run
-// set. It returns the merged state plus how many shards answered; an
-// error only when *no* shard answered.
-func (g *Gateway) merge(states []shardState) (*corpus.AggSnapshot, *report.Set, int, error) {
+// checkPlan refuses shard state built under another instrumentation
+// plan than the gateway's.
+func (g *Gateway) checkPlan(what string, numSites, numPreds int, fingerprint uint64) error {
+	if numSites != g.cfg.NumSites || numPreds != g.cfg.NumPreds {
+		return fmt.Errorf("shard %s dimensions %dx%d do not match gateway %dx%d",
+			what, numSites, numPreds, g.cfg.NumSites, g.cfg.NumPreds)
+	}
+	if g.cfg.Fingerprint != 0 && fingerprint != 0 && fingerprint != g.cfg.Fingerprint {
+		return fmt.Errorf("shard %s fingerprint %016x does not match gateway %016x",
+			what, fingerprint, g.cfg.Fingerprint)
+	}
+	return nil
+}
+
+var errNoShard = errors.New("no shard answered")
+
+// mergeCounters adds up the answering shards' counters (views pulled
+// with counters); an error only when no shard answered.
+func (g *Gateway) mergeCounters(views []shardView) (*corpus.AggSnapshot, error) {
 	start := time.Now()
 	defer func() { g.mergeSeconds.ObserveDuration(time.Since(start)) }()
 	merged := corpus.NewAggSnapshot(g.cfg.NumSites, g.cfg.NumPreds)
 	merged.Fingerprint = g.cfg.Fingerprint
-	set := &report.Set{NumSites: g.cfg.NumSites, NumPreds: g.cfg.NumPreds}
 	live := 0
-	for i, st := range states {
-		if st.err != nil {
-			g.logf("shard: gateway: shard %d unavailable: %v", i, st.err)
+	for i, v := range views {
+		if v.err != nil {
 			continue
 		}
-		if err := corpus.MergeAggSnapshot(merged, st.snap); err != nil {
+		if err := corpus.MergeAggSnapshot(merged, v.snap); err != nil {
 			g.logf("shard: gateway: shard %d snapshot rejected: %v", i, err)
 			continue
 		}
-		set.Reports = append(set.Reports, st.set.Reports...)
 		live++
 	}
 	if live == 0 {
-		return nil, nil, 0, fmt.Errorf("no shard answered")
+		return nil, errNoShard
 	}
-	return merged, set, live, nil
+	return merged, nil
 }
 
-// intQuery mirrors the collector's query parsing exactly: absent means
-// the default, malformed is a 400, and negative values pass through
-// (k<=0 means "no cap" downstream) — so the gateway is a drop-in for a
-// single collector on the read path.
-func intQuery(w http.ResponseWriter, req *http.Request, key string, def int) (int, bool) {
-	v := req.URL.Query().Get(key)
-	if v == "" {
-		return def, true
-	}
-	n, err := strconv.Atoi(v)
+// gatewaySource is the gateway's collector.QuerySource: the shards'
+// warm views as of one pull.
+type gatewaySource struct{ g *Gateway }
+
+func (src gatewaySource) Counters(ctx context.Context) (*core.Agg, error) {
+	g := src.g
+	merged, err := g.mergeCounters(g.pull(ctx, true))
 	if err != nil {
-		http.Error(w, "bad "+key, http.StatusBadRequest)
-		return 0, false
+		return nil, err
 	}
-	return n, true
+	return merged.ToAgg(g.cfg.SiteOf), nil
 }
 
-func (g *Gateway) handleScores(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	k, ok := intQuery(w, req, "k", 20)
-	if !ok {
-		return
-	}
-	merged, _, _, err := g.merge(g.fetchAll(req.Context()))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	ranked := core.TopKImportance(merged.ToAgg(g.cfg.SiteOf), k)
-	writeJSON(w, collector.ScoreEntries(ranked))
-}
-
-func (g *Gateway) handlePredictors(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	k, ok := intQuery(w, req, "k", 0)
-	if !ok {
-		return
-	}
-	affinityK, ok := intQuery(w, req, "affinity", 0)
-	if !ok {
-		return
-	}
-	engineName := req.URL.Query().Get("engine")
-	if engineName == "" {
-		engineName = core.DefaultEngineName
-	}
-	eng, found := core.EngineByName(engineName)
-	if !found {
-		http.Error(w, collector.UnknownEngineError(engineName), http.StatusBadRequest)
-		return
-	}
-	_, set, _, err := g.merge(g.fetchAll(req.Context()))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	g.engineRequests.With(engineName).Inc()
-	in := core.Input{Set: set, SiteOf: g.cfg.SiteOf}
-	if engineName == core.DefaultEngineName {
-		// Cause isolation runs over the union of the shards' retained
-		// run logs — the same BuildPredictors path a single collector
-		// uses, so the output shape and tie-breaking match exactly.
-		writeJSON(w, collector.BuildPredictors(in, k, affinityK))
-		return
-	}
-	// Alternative engines score the same merged input; every counting
-	// engine is order-independent, so the answer matches a single
-	// collector holding the union.
-	writeJSON(w, collector.EngineEntries(eng.Score(in, k)))
-}
-
-// handleCompare mirrors the collector's GET /v1/compare over the
-// merged shard union: every named engine scores one snapshot of the
-// fleet-wide run log, with pairwise rank agreement.
-func (g *Gateway) handleCompare(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	k, ok := intQuery(w, req, "k", 20)
-	if !ok || k < 0 {
-		if ok {
-			http.Error(w, "bad k", http.StatusBadRequest)
+// Window's token is the ordered vector of the answering shards'
+// epoch:version with a marker in each degraded shard's place — so a
+// degraded union never shares a cache slot with the full one — and
+// empty when any answering shard's state has no version to name it.
+func (src gatewaySource) Window(ctx context.Context) (string, func() (core.Input, error), error) {
+	g := src.g
+	views := g.pull(ctx, false)
+	var token strings.Builder
+	live, versioned := 0, true
+	for _, v := range views {
+		switch {
+		case v.err != nil:
+			token.WriteString("down,")
+		case v.state == "":
+			live++
+			versioned = false
+		default:
+			live++
+			token.WriteString(v.state + ",")
 		}
-		return
 	}
-	names, errMsg := collector.ParseEngines(req.URL.Query().Get("engines"))
-	if errMsg != "" {
-		http.Error(w, errMsg, http.StatusBadRequest)
-		return
+	if live == 0 {
+		return "", nil, errNoShard
 	}
-	_, set, _, err := g.merge(g.fetchAll(req.Context()))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
+	if !versioned {
+		token.Reset()
 	}
-	for _, n := range names {
-		g.engineRequests.With(n).Inc()
-	}
-	in := core.Input{Set: set, SiteOf: g.cfg.SiteOf}
-	writeJSON(w, collector.CompareEngines(in, names, k))
+	return token.String(), func() (core.Input, error) {
+		start := time.Now()
+		defer func() { g.mergeSeconds.ObserveDuration(time.Since(start)) }()
+		set := &report.Set{NumSites: g.cfg.NumSites, NumPreds: g.cfg.NumPreds}
+		for _, v := range views {
+			set.Reports = append(set.Reports, v.window...)
+		}
+		return core.Input{Set: set, SiteOf: g.cfg.SiteOf}, nil
+	}, nil
 }
 
 // GatewayStats is the gateway's GET /v1/stats response: the merged
@@ -793,7 +688,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	states := g.fetchAll(req.Context())
+	states := g.pull(req.Context(), true)
 	st := GatewayStats{
 		NumSites:    g.cfg.NumSites,
 		NumPreds:    g.cfg.NumPreds,
@@ -810,8 +705,9 @@ func (g *Gateway) handleStats(w http.ResponseWriter, req *http.Request) {
 		st.Runs += s.snap.NumF + s.snap.NumS
 		st.Failing += s.snap.NumF
 		st.Successful += s.snap.NumS
-		st.RunLogRuns += len(s.set.Reports)
+		st.RunLogRuns += len(s.window)
 	}
+	status := http.StatusOK
 	if st.DegradedShards == len(states) {
 		// Every shard is down: the freshly computed totals are all
 		// zeros, which an operator's dashboard would read as "the data
@@ -824,23 +720,22 @@ func (g *Gateway) handleStats(w http.ResponseWriter, req *http.Request) {
 		cached := g.lastStats
 		g.statsMu.Unlock()
 		if cached != nil {
-			resp := *cached
-			resp.DegradedShards = st.DegradedShards
-			resp.Stale = true
-			resp.ShardErrors = st.ShardErrors
-			writeJSON(w, resp)
-			return
+			errs := st.ShardErrors
+			st = *cached
+			st.DegradedShards, st.Stale, st.ShardErrors = len(states), true, errs
+		} else {
+			status = http.StatusServiceUnavailable
 		}
-		w.WriteHeader(http.StatusServiceUnavailable)
-		writeJSON(w, st)
-		return
+	} else {
+		snapshot := st
+		snapshot.ShardErrors = nil
+		g.statsMu.Lock()
+		g.lastStats = &snapshot
+		g.statsMu.Unlock()
 	}
-	snapshot := st
-	snapshot.ShardErrors = nil
-	g.statsMu.Lock()
-	g.lastStats = &snapshot
-	g.statsMu.Unlock()
-	writeJSON(w, st)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(st)
 }
 
 // handleHealthz reports 200 while at least one shard answers its own
@@ -875,9 +770,4 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	http.Error(w, "no live shard", http.StatusServiceUnavailable)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
 }

@@ -9,7 +9,7 @@ import (
 	"strconv"
 	"time"
 
-	"cbi/internal/core"
+	"cbi/internal/collector"
 	"cbi/internal/plan"
 )
 
@@ -31,7 +31,7 @@ import (
 func (g *Gateway) planInput() plan.Input {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.Timeout)
 	defer cancel()
-	merged, _, _, err := g.merge(g.fetchAll(ctx))
+	merged, err := g.mergeCounters(g.pull(ctx, true))
 	if err != nil {
 		g.logf("shard: gateway: planning window unavailable: %v", err)
 		return plan.Input{TopSite: -1}
@@ -42,9 +42,7 @@ func (g *Gateway) planInput() plan.Input {
 	}
 	topSite := -1
 	if g.cfg.PlanBoostRadius > 0 {
-		if ranked := core.TopKImportance(merged.ToAgg(g.cfg.SiteOf), 1); len(ranked) > 0 {
-			topSite = int(g.cfg.SiteOf[ranked[0].Pred])
-		}
+		topSite = collector.TopSite(merged.ToAgg(g.cfg.SiteOf), g.cfg.SiteOf)
 	}
 	return plan.Input{
 		Observed: observed,

@@ -261,18 +261,36 @@ func TestRingAdminAuth(t *testing.T) {
 		t.Fatalf("unauthenticated POST /v1/ring = %d, want 401", resp.StatusCode)
 	}
 
-	req, err := http.NewRequest(http.MethodPost, rt.URL+"/v1/ring", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Authorization", "Bearer sesame")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("authenticated POST /v1/ring = %d, want 200", resp.StatusCode)
+	// The same bearer check as the collector's write endpoints: the
+	// scheme matches in any case, a wrong key is a 401 that says how to
+	// authenticate.
+	for _, c := range []struct {
+		auth, action string
+		want         int
+	}{
+		{"Bearer sesame", "add", http.StatusOK},
+		{"bearer sesame", "pause", http.StatusOK},
+		{"BEARER sesame", "pause", http.StatusOK},
+		{"Bearer open-sesame", "pause", http.StatusUnauthorized},
+		{"sesame", "pause", http.StatusUnauthorized},
+	} {
+		body := fmt.Sprintf(`{"action":%q,"url":"http://example.invalid"}`, c.action)
+		req, err := http.NewRequest(http.MethodPost, rt.URL+"/v1/ring", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", c.auth)
+		resp, err = http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("POST /v1/ring %s with Authorization %q = %d, want %d", c.action, c.auth, resp.StatusCode, c.want)
+		}
+		if www := resp.Header.Get("WWW-Authenticate"); (www != "") != (c.want == http.StatusUnauthorized) {
+			t.Errorf("POST /v1/ring with Authorization %q: WWW-Authenticate = %q", c.auth, www)
+		}
 	}
 }
 

@@ -19,13 +19,12 @@
 package shard
 
 import (
-	"crypto/subtle"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
+	"cbi/internal/collector"
 	"cbi/internal/corpus"
 )
 
@@ -119,13 +118,7 @@ func (r *Router) authorizeRing(w http.ResponseWriter, req *http.Request) bool {
 	if r.cfg.APIKey == "" {
 		return true
 	}
-	tok, ok := strings.CutPrefix(req.Header.Get("Authorization"), "Bearer ")
-	if ok && subtle.ConstantTimeCompare([]byte(tok), []byte(r.cfg.APIKey)) == 1 {
-		return true
-	}
-	w.Header().Set("WWW-Authenticate", `Bearer realm="cbi"`)
-	http.Error(w, "unauthorized", http.StatusUnauthorized)
-	return false
+	return collector.CheckBearer(w, req, []string{r.cfg.APIKey})
 }
 
 // ringStatus snapshots the topology for GET /v1/ring.

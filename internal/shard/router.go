@@ -392,24 +392,15 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	for _, u := range cfg.Backends {
 		r.addBackendLocked(u)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/reports", r.handleReports)
-	mux.HandleFunc("/v1/stats", r.handleStats)
-	mux.HandleFunc("/v1/plan", r.handlePlan)
-	mux.HandleFunc("/v1/predictors", r.handleRead)
-	mux.HandleFunc("/v1/compare", r.handleRead)
-	mux.HandleFunc("/v1/ring", r.handleRing)
-	mux.HandleFunc("/healthz", r.handleHealthz)
-	mux.Handle("/metrics", m.Handler())
-	if cfg.EnablePprof {
-		obs.RegisterPprof(mux)
-	}
-	r.handler = obs.NewHTTP(obs.HTTPConfig{
-		Registry:    m,
-		Paths:       []string{"/v1/reports", "/v1/stats", "/v1/plan", "/v1/predictors", "/v1/compare", "/v1/ring", "/healthz", "/metrics"},
-		SlowRequest: cfg.SlowRequest,
-		Logf:        cfg.Logf,
-	}).Wrap(mux)
+	rt := obs.NewRoutes(obs.HTTPConfig{Registry: m, SlowRequest: cfg.SlowRequest, Logf: cfg.Logf})
+	rt.HandleFunc("/v1/reports", r.handleReports)
+	rt.HandleFunc("/v1/stats", r.handleStats)
+	rt.HandleFunc("/v1/plan", r.handlePlan)
+	rt.HandleFunc("/v1/predictors", r.handleRead)
+	rt.HandleFunc("/v1/compare", r.handleRead)
+	rt.HandleFunc("/v1/ring", r.handleRing)
+	rt.HandleFunc("/healthz", r.handleHealthz)
+	r.handler = rt.Handler(cfg.EnablePprof)
 	r.wg.Add(1)
 	go r.healthLoop()
 	return r, nil
@@ -490,37 +481,14 @@ var forwardedHeaders = []string{
 // request cap).
 const maxForwardBody = 64 << 20
 
-// rateLimit enforces the per-key write rate limit, keyed by the
-// presented Authorization header (each API key gets its own budget)
-// with the client address as fallback. It writes the 429 + Retry-After
-// itself on a limited request. No-op when RateLimit is unset.
-func (r *Router) rateLimit(w http.ResponseWriter, req *http.Request) bool {
-	if r.limiter == nil {
-		return true
-	}
-	key := req.Header.Get("Authorization")
-	if key == "" {
-		key = req.RemoteAddr
-		if host, _, err := net.SplitHostPort(req.RemoteAddr); err == nil {
-			key = host
-		}
-	}
-	ok, retry := r.limiter.Allow(key, time.Now())
-	if !ok {
-		r.rateLimited.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(ratelimit.RetrySeconds(retry)))
-		http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
-	}
-	return ok
-}
-
 func (r *Router) handleReports(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	if !r.rateLimit(w, req) {
+	if !r.limiter.AllowRequest(w, req) {
+		r.rateLimited.Add(1)
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxForwardBody))
@@ -680,56 +648,10 @@ func indexOf(order []int, b int) int {
 // back, so steady-state polling through the router still costs no body
 // bytes.
 func (r *Router) handlePlan(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	source := r.cfg.PlanFrom
-	if source == "" {
-		for _, b := range r.backendSnapshot() {
-			if b.up.Load() && b.active.Load() {
-				source = b.url
-				break
-			}
-		}
-	}
-	if source == "" {
-		r.planErrors.Add(1)
-		w.Header().Set("Retry-After", "2")
-		http.Error(w, "no live plan source", http.StatusServiceUnavailable)
-		return
-	}
-	url := source + "/v1/plan"
-	if req.URL.RawQuery != "" {
-		url += "?" + req.URL.RawQuery
-	}
-	fwd, err := http.NewRequestWithContext(req.Context(), http.MethodGet, url, nil)
-	if err != nil {
-		r.planErrors.Add(1)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	for _, k := range []string{"If-None-Match", "X-CBI-Client-ID"} {
-		if v := req.Header.Get(k); v != "" {
-			fwd.Header.Set(k, v)
-		}
-	}
-	resp, err := r.hc.Do(fwd)
-	if err != nil {
-		r.planErrors.Add(1)
-		http.Error(w, "plan source unreachable: "+err.Error(), http.StatusBadGateway)
-		return
-	}
-	defer resp.Body.Close()
-	for _, k := range []string{"ETag", "X-CBI-Plan-Version", "Cache-Control", "Content-Type"} {
-		if v := resp.Header.Get(k); v != "" {
-			w.Header().Set(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, io.LimitReader(resp.Body, maxForwardBody))
-	r.planForwarded.Add(1)
+	r.relay(w, req, r.cfg.PlanFrom, "plan",
+		[]string{"If-None-Match", "X-CBI-Client-ID"},
+		[]string{"ETag", "X-CBI-Plan-Version", "Cache-Control", "Content-Type"},
+		r.planForwarded, r.planErrors)
 }
 
 // handleRead relays GET /v1/predictors and GET /v1/compare so fleet
@@ -740,12 +662,21 @@ func (r *Router) handlePlan(w http.ResponseWriter, req *http.Request) {
 // cfg.ReadFrom (the gateway, for merged fleet-wide rankings) or else
 // the first live backend.
 func (r *Router) handleRead(w http.ResponseWriter, req *http.Request) {
+	r.relay(w, req, r.cfg.ReadFrom, "read", nil, []string{"Content-Type"},
+		r.readForwarded, r.readErrors)
+}
+
+// relay answers a GET by asking source — or, when none is configured,
+// the first live backend — the same path and query, passing the named
+// request headers on and the status, the named response headers and the
+// body back. what names the source in error bodies.
+func (r *Router) relay(w http.ResponseWriter, req *http.Request, source, what string,
+	reqHeaders, respHeaders []string, forwarded, errs *obs.Counter) {
 	if req.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	source := r.cfg.ReadFrom
 	if source == "" {
 		for _, b := range r.backendSnapshot() {
 			if b.up.Load() && b.active.Load() {
@@ -755,9 +686,9 @@ func (r *Router) handleRead(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	if source == "" {
-		r.readErrors.Add(1)
+		errs.Add(1)
 		w.Header().Set("Retry-After", "2")
-		http.Error(w, "no live read source", http.StatusServiceUnavailable)
+		http.Error(w, "no live "+what+" source", http.StatusServiceUnavailable)
 		return
 	}
 	url := source + req.URL.Path
@@ -766,23 +697,30 @@ func (r *Router) handleRead(w http.ResponseWriter, req *http.Request) {
 	}
 	fwd, err := http.NewRequestWithContext(req.Context(), http.MethodGet, url, nil)
 	if err != nil {
-		r.readErrors.Add(1)
+		errs.Add(1)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	for _, k := range reqHeaders {
+		if v := req.Header.Get(k); v != "" {
+			fwd.Header.Set(k, v)
+		}
+	}
 	resp, err := r.hc.Do(fwd)
 	if err != nil {
-		r.readErrors.Add(1)
-		http.Error(w, "read source unreachable: "+err.Error(), http.StatusBadGateway)
+		errs.Add(1)
+		http.Error(w, what+" source unreachable: "+err.Error(), http.StatusBadGateway)
 		return
 	}
 	defer resp.Body.Close()
-	if v := resp.Header.Get("Content-Type"); v != "" {
-		w.Header().Set("Content-Type", v)
+	for _, k := range respHeaders {
+		if v := resp.Header.Get(k); v != "" {
+			w.Header().Set(k, v)
+		}
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, io.LimitReader(resp.Body, maxForwardBody))
-	r.readForwarded.Add(1)
+	forwarded.Add(1)
 }
 
 // forwardLoop drains one backend's queue. On a network-level failure it
