@@ -35,8 +35,8 @@ func cmdHTML(args []string) error {
 	}
 	res := harness.Run(harness.Config{Subject: subj, Runs: *runs, Mode: harness.SampleUniform})
 	in := res.CoreInput()
-	agg := core.Aggregate(in)
-	ranked := core.Eliminate(in, core.ElimOptions{})
+	a := core.Analyze(in, core.ElimOptions{})
+	ranked := a.Ranked
 
 	var sb strings.Builder
 	sb.WriteString(`<!DOCTYPE html>
@@ -52,10 +52,10 @@ code { background: #f4f4f4; padding: 1px 4px; }
 	fmt.Fprintf(&sb, "<h1>Statistical debugging report: %s</h1>\n", html.EscapeString(subj.Name))
 	fmt.Fprintf(&sb, "<p>%d runs, %d failing. %d sites, %d predicates; %d pass the Increase test; %d selected by elimination.</p>\n",
 		len(res.Set.Reports), res.NumFailing(), res.Plan.NumSites(), res.Plan.NumPreds(),
-		len(core.FilterByIncrease(agg, core.Z95)), len(ranked))
+		len(a.Candidates), len(ranked))
 
 	sb.WriteString("<table>\n<tr><th>#</th><th>Initial</th><th>Effective</th><th>Predicate</th><th>Importance</th><th>Increase</th><th>F</th><th>S</th></tr>\n")
-	maxObs := agg.NumF + agg.NumS
+	maxObs := a.Full.NumF + a.Full.NumS
 	var cands []int
 	for _, rk := range ranked {
 		cands = append(cands, rk.Pred)
@@ -67,7 +67,7 @@ code { background: #f4f4f4; padding: 1px 4px; }
 			i+1, ti.HTML(140), te.HTML(140), html.EscapeString(res.PredText(rk.Pred)),
 			rk.EffectiveScores.Importance, rk.InitialScores.Increase, rk.InitialScores.IncreaseCI,
 			rk.Initial.F, rk.Initial.S)
-		aff := core.Affinity(in, rk.Pred, cands)
+		aff := a.Affinity(rk.Pred, cands)
 		if len(aff) > *topAffinity {
 			aff = aff[:*topAffinity]
 		}

@@ -88,15 +88,15 @@ func toPredictorScores(st core.Stats, sc core.Scores, maxObs int) PredictorScore
 // because both go through this one function — and every core step is
 // order-independent with deterministic tie-breaking (see
 // core.Eliminate) — the live output is element-for-element identical to
-// batch cause isolation over the same runs.
+// batch cause isolation over the same runs. The ranking and every
+// affinity list come from one core.Analyze, so a query costs one
+// Aggregate and one projection pass over the runs.
 func BuildPredictors(in core.Input, maxPredictors, affinityK int) []PredictorEntry {
-	full := core.Aggregate(in)
-	candidates := core.FilterByIncrease(full, core.Z95)
-	ranked := core.Eliminate(in, core.ElimOptions{MaxPredictors: maxPredictors, Candidates: candidates})
-	maxObs := full.NumF + full.NumS
+	a := core.Analyze(in, core.ElimOptions{MaxPredictors: maxPredictors})
+	maxObs := a.Full.NumF + a.Full.NumS
 
-	out := make([]PredictorEntry, 0, len(ranked))
-	for _, rk := range ranked {
+	out := make([]PredictorEntry, 0, len(a.Ranked))
+	for _, rk := range a.Ranked {
 		e := PredictorEntry{
 			Pred:      rk.Pred,
 			Round:     rk.Round,
@@ -104,7 +104,7 @@ func BuildPredictors(in core.Input, maxPredictors, affinityK int) []PredictorEnt
 			Effective: toPredictorScores(rk.Effective, rk.EffectiveScores, maxObs),
 		}
 		if affinityK > 0 {
-			aff := core.Affinity(in, rk.Pred, candidates)
+			aff := a.Affinity(rk.Pred, a.Candidates)
 			if len(aff) > affinityK {
 				aff = aff[:affinityK]
 			}

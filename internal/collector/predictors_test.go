@@ -7,11 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
 	"cbi/internal/core"
+	"cbi/internal/harness"
 	"cbi/internal/report"
+	"cbi/internal/subjects"
 )
 
 // TestLiveBatchEquivalence is the cause-isolation analogue of the
@@ -129,6 +132,134 @@ func TestBuildPredictorsMatchesEliminate(t *testing.T) {
 			t.Fatalf("rank %d: builder scores diverge from Eliminate", i)
 		}
 	}
+}
+
+// TestBuildPredictorsMatchesReference pins BuildPredictors on a real
+// subject corpus to the builder as it was before elimination and
+// affinity moved onto one projection: a full re-aggregation per
+// elimination round and per affinity list. A gateway answer compared
+// with BuildPredictors cannot catch a drift in the shared code; this
+// can. Every predictor ccrypt's corpus yields has S = 0, so a small
+// MOSS corpus, whose predictors are true in successful runs too, rides
+// along.
+func TestBuildPredictorsMatchesReference(t *testing.T) {
+	moss := harness.Run(harness.Config{Subject: subjects.Moss(), Runs: 250, Mode: harness.SampleUniform, Workers: 2})
+	for name, in := range map[string]core.Input{"ccrypt": testCorpus(t).CoreInput(), "moss": moss.CoreInput()} {
+		for _, c := range []struct{ k, affinityK int }{{0, 0}, {12, 3}, {25, 5}} {
+			got := BuildPredictors(in, c.k, c.affinityK)
+			want := buildPredictorsReference(in, c.k, c.affinityK)
+			if len(want) == 0 {
+				t.Fatalf("%s k=%d: reference selected no predictors; test is vacuous", name, c.k)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s k=%d affinity=%d: BuildPredictors diverges from the reference:\ngot:  %+v\nwant: %+v",
+					name, c.k, c.affinityK, got, want)
+			}
+		}
+	}
+}
+
+// buildPredictorsReference is BuildPredictors over per-round
+// definitions of elimination (discard proposal 1) and affinity.
+func buildPredictorsReference(in core.Input, maxPredictors, affinityK int) []PredictorEntry {
+	full := core.Aggregate(in)
+	candidates := core.FilterByIncrease(full, core.Z95)
+	ranked := eliminateReference(in, full, candidates, maxPredictors)
+	maxObs := full.NumF + full.NumS
+
+	out := make([]PredictorEntry, 0, len(ranked))
+	for _, rk := range ranked {
+		e := PredictorEntry{
+			Pred:      rk.Pred,
+			Round:     rk.Round,
+			Initial:   toPredictorScores(rk.Initial, rk.InitialScores, maxObs),
+			Effective: toPredictorScores(rk.Effective, rk.EffectiveScores, maxObs),
+		}
+		if affinityK > 0 {
+			aff := affinityReference(in, full, rk.Pred, candidates)
+			if len(aff) > affinityK {
+				aff = aff[:affinityK]
+			}
+			for _, a := range aff {
+				e.Affinity = append(e.Affinity, AffinityItem{
+					Pred: a.Pred, Before: a.Before, After: a.After, Drop: a.Drop})
+			}
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// eliminateReference re-aggregates the active runs every round and
+// discards every run where the selected predicate is true.
+func eliminateReference(in core.Input, full *core.Agg, candidates []int, maxPredictors int) []core.Ranked {
+	inCand := make([]bool, in.Set.NumPreds)
+	for _, p := range candidates {
+		inCand[p] = true
+	}
+	active := make([]bool, len(in.Set.Reports))
+	for i := range active {
+		active[i] = true
+	}
+	var out []core.Ranked
+	for round := 0; maxPredictors <= 0 || len(out) < maxPredictors; round++ {
+		agg := core.AggregateSubset(in, active, nil)
+		if agg.NumF == 0 {
+			break
+		}
+		best, bestImp := -1, 0.0
+		for p := 0; p < in.Set.NumPreds; p++ {
+			if !inCand[p] {
+				continue
+			}
+			if imp := core.Importance(agg.Stats[p], agg.NumF); imp > bestImp {
+				best, bestImp = p, imp
+			}
+		}
+		if best < 0 {
+			break
+		}
+		out = append(out, core.Ranked{
+			Pred:            best,
+			Round:           round,
+			Initial:         full.Stats[best],
+			InitialScores:   core.ComputeScores(full.Stats[best], full.NumF),
+			Effective:       agg.Stats[best],
+			EffectiveScores: core.ComputeScores(agg.Stats[best], agg.NumF),
+		})
+		inCand[best] = false
+		for i, r := range in.Set.Reports {
+			if r.True(int32(best)) {
+				active[i] = false
+			}
+		}
+	}
+	return out
+}
+
+// affinityReference re-aggregates the runs where p is not true.
+func affinityReference(in core.Input, full *core.Agg, p int, candidates []int) []core.AffinityEntry {
+	active := make([]bool, len(in.Set.Reports))
+	for i, r := range in.Set.Reports {
+		active[i] = !r.True(int32(p))
+	}
+	after := core.AggregateSubset(in, active, nil)
+	out := make([]core.AffinityEntry, 0, len(candidates))
+	for _, q := range candidates {
+		if q == p {
+			continue
+		}
+		b := core.Importance(full.Stats[q], full.NumF)
+		a := core.Importance(after.Stats[q], after.NumF)
+		out = append(out, core.AffinityEntry{Pred: q, Before: b, After: a, Drop: b - a})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Drop != out[j].Drop {
+			return out[i].Drop > out[j].Drop
+		}
+		return out[i].Pred < out[j].Pred
+	})
+	return out
 }
 
 // TestRunLogEviction fills the run log far past its retention cap and

@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // AffinityEntry records how strongly a selected predicate P implies
 // another predicate Q: the drop in Q's Importance when the runs where
 // P was observed true are removed (paper §4.1: "each predicate P in
@@ -19,35 +17,11 @@ type AffinityEntry struct {
 
 // Affinity computes the affinity list of predicate p over the given
 // candidate predicates (p itself is skipped). Entries are ordered by
-// decreasing Drop.
+// decreasing Drop. It projects the runs onto candidates ∪ {p}; callers
+// that also rank should use Analyze and Analysis.Affinity, which share
+// one projection.
 func Affinity(in Input, p int, candidates []int) []AffinityEntry {
-	before := Aggregate(in)
-
-	active := make([]bool, len(in.Set.Reports))
-	for i := range active {
-		active[i] = true
-	}
-	for _, i := range runsWhereTrue(in, int32(p), nil) {
-		active[i] = false
-	}
-	after := AggregateSubset(in, active, nil)
-
-	out := make([]AffinityEntry, 0, len(candidates))
-	for _, q := range candidates {
-		if q == p {
-			continue
-		}
-		b := Importance(before.Stats[q], before.NumF)
-		a := Importance(after.Stats[q], after.NumF)
-		out = append(out, AffinityEntry{Pred: q, Before: b, After: a, Drop: b - a})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Drop != out[j].Drop {
-			return out[i].Drop > out[j].Drop
-		}
-		return out[i].Pred < out[j].Pred
-	})
-	return out
+	return project(in, append([]int{p}, candidates...)).affinity(Aggregate(in), p, candidates)
 }
 
 // TopAffinity returns the predicate at the head of p's affinity list,

@@ -95,18 +95,3 @@ func AggregateSubset(in Input, active []bool, relabel []bool) *Agg {
 	}
 	return agg
 }
-
-// runsWhereTrue returns the indices of active runs in which predicate p
-// was observed true. A nil active slice means all runs.
-func runsWhereTrue(in Input, p int32, active []bool) []int {
-	var out []int
-	for i, r := range in.Set.Reports {
-		if active != nil && !active[i] {
-			continue
-		}
-		if r.True(p) {
-			out = append(out, i)
-		}
-	}
-	return out
-}

@@ -88,86 +88,50 @@ type ElimOptions struct {
 // rule, which is what lets a live collector's incremental ranking be
 // compared element-for-element against this batch path.
 func Eliminate(in Input, opts ElimOptions) []Ranked {
+	return Analyze(in, opts).Ranked
+}
+
+// Analysis is the cause isolation of one report set: the full
+// aggregate, the candidate set, the elimination ranking and, on demand,
+// affinity lists, all served from one projection of the runs onto the
+// candidates.
+type Analysis struct {
+	// Full is the aggregate over every run.
+	Full *Agg
+	// Candidates is opts.Candidates, or the Increase survivors when that
+	// was nil.
+	Candidates []int
+	// Ranked is Eliminate's output.
+	Ranked []Ranked
+	proj   *projection
+}
+
+// Analyze runs Eliminate and keeps what it built for affinity lists. It
+// costs one Aggregate, one projection pass over the runs, and then only
+// integer updates over the runs each selected predicate discards.
+func Analyze(in Input, opts ElimOptions) *Analysis {
 	if opts.Z == 0 {
 		opts.Z = Z95
 	}
 	full := Aggregate(in)
-
 	candidates := opts.Candidates
 	if candidates == nil {
 		candidates = FilterByIncrease(full, opts.Z)
 	}
-	inCand := make([]bool, in.Set.NumPreds)
-	for _, p := range candidates {
-		inCand[p] = true
+	pr := project(in, candidates)
+	return &Analysis{
+		Full:       full,
+		Candidates: candidates,
+		Ranked:     pr.eliminate(full, opts.Policy, opts.MaxPredictors),
+		proj:       pr,
 	}
+}
 
-	active := make([]bool, len(in.Set.Reports))
-	for i := range active {
-		active[i] = true
-	}
-	var relabel []bool
-	if opts.Policy == RelabelFailingRuns {
-		relabel = make([]bool, len(in.Set.Reports))
-		for i, r := range in.Set.Reports {
-			relabel[i] = r.Failed
-		}
-	}
-
-	var out []Ranked
-	for round := 0; ; round++ {
-		if opts.MaxPredictors > 0 && len(out) >= opts.MaxPredictors {
-			break
-		}
-		agg := AggregateSubset(in, active, relabel)
-		if agg.NumF == 0 {
-			break
-		}
-		// Scan ascending so ties break toward the smaller predicate id.
-		best, bestImp := -1, 0.0
-		for p := 0; p < in.Set.NumPreds; p++ {
-			if !inCand[p] {
-				continue
-			}
-			if imp := Importance(agg.Stats[p], agg.NumF); imp > bestImp {
-				best, bestImp = p, imp
-			}
-		}
-		if best < 0 || bestImp <= 0 {
-			break
-		}
-
-		out = append(out, Ranked{
-			Pred:            best,
-			Round:           round,
-			Initial:         full.Stats[best],
-			InitialScores:   ComputeScores(full.Stats[best], full.NumF),
-			Effective:       agg.Stats[best],
-			EffectiveScores: ComputeScores(agg.Stats[best], agg.NumF),
-		})
-		inCand[best] = false
-
-		for _, i := range runsWhereTrue(in, int32(best), active) {
-			r := in.Set.Reports[i]
-			failed := r.Failed
-			if relabel != nil {
-				failed = relabel[i]
-			}
-			switch opts.Policy {
-			case DiscardAllRuns:
-				active[i] = false
-			case DiscardFailingRuns:
-				if failed {
-					active[i] = false
-				}
-			case RelabelFailingRuns:
-				if failed {
-					relabel[i] = false
-				}
-			}
-		}
-	}
-	return out
+// Affinity is core.Affinity(in, p, candidates) over the analysed report
+// set. p and every candidate must be in a.Candidates; it panics
+// otherwise.
+func (a *Analysis) Affinity(p int, candidates []int) []AffinityEntry {
+	return a.proj.affinity(a.Full, p, candidates)
 }
 
 // RankByImportance returns all candidate predicates ordered by

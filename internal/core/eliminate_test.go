@@ -1,6 +1,9 @@
 package core
 
 import (
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -385,4 +388,337 @@ func TestEliminateNoDuplicatesProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// ---- the per-round definition, kept as the oracle ----
+
+// eliminateReference is Eliminate as §3.4 states it: every round
+// re-aggregates the active runs from scratch. The projection-based
+// Eliminate must return exactly the same []Ranked.
+func eliminateReference(in Input, opts ElimOptions) []Ranked {
+	if opts.Z == 0 {
+		opts.Z = Z95
+	}
+	full := Aggregate(in)
+
+	candidates := opts.Candidates
+	if candidates == nil {
+		candidates = FilterByIncrease(full, opts.Z)
+	}
+	inCand := make([]bool, in.Set.NumPreds)
+	for _, p := range candidates {
+		inCand[p] = true
+	}
+
+	active := make([]bool, len(in.Set.Reports))
+	for i := range active {
+		active[i] = true
+	}
+	var relabel []bool
+	if opts.Policy == RelabelFailingRuns {
+		relabel = make([]bool, len(in.Set.Reports))
+		for i, r := range in.Set.Reports {
+			relabel[i] = r.Failed
+		}
+	}
+
+	var out []Ranked
+	for round := 0; ; round++ {
+		if opts.MaxPredictors > 0 && len(out) >= opts.MaxPredictors {
+			break
+		}
+		agg := AggregateSubset(in, active, relabel)
+		if agg.NumF == 0 {
+			break
+		}
+		// Scan ascending so ties break toward the smaller predicate id.
+		best, bestImp := -1, 0.0
+		for p := 0; p < in.Set.NumPreds; p++ {
+			if !inCand[p] {
+				continue
+			}
+			if imp := Importance(agg.Stats[p], agg.NumF); imp > bestImp {
+				best, bestImp = p, imp
+			}
+		}
+		if best < 0 || bestImp <= 0 {
+			break
+		}
+
+		out = append(out, Ranked{
+			Pred:            best,
+			Round:           round,
+			Initial:         full.Stats[best],
+			InitialScores:   ComputeScores(full.Stats[best], full.NumF),
+			Effective:       agg.Stats[best],
+			EffectiveScores: ComputeScores(agg.Stats[best], agg.NumF),
+		})
+		inCand[best] = false
+
+		for _, i := range runsWhereTrue(in, int32(best), active) {
+			r := in.Set.Reports[i]
+			failed := r.Failed
+			if relabel != nil {
+				failed = relabel[i]
+			}
+			switch opts.Policy {
+			case DiscardAllRuns:
+				active[i] = false
+			case DiscardFailingRuns:
+				if failed {
+					active[i] = false
+				}
+			case RelabelFailingRuns:
+				if failed {
+					relabel[i] = false
+				}
+			}
+		}
+	}
+	return out
+}
+
+// affinityReference is Affinity as §4.1 states it: Importance over all
+// runs and over the runs where p is not true, each a full aggregation.
+func affinityReference(in Input, p int, candidates []int) []AffinityEntry {
+	before := Aggregate(in)
+
+	active := make([]bool, len(in.Set.Reports))
+	for i := range active {
+		active[i] = true
+	}
+	for _, i := range runsWhereTrue(in, int32(p), nil) {
+		active[i] = false
+	}
+	after := AggregateSubset(in, active, nil)
+
+	out := make([]AffinityEntry, 0, len(candidates))
+	for _, q := range candidates {
+		if q == p {
+			continue
+		}
+		b := Importance(before.Stats[q], before.NumF)
+		a := Importance(after.Stats[q], after.NumF)
+		out = append(out, AffinityEntry{Pred: q, Before: b, After: a, Drop: b - a})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Drop != out[j].Drop {
+			return out[i].Drop > out[j].Drop
+		}
+		return out[i].Pred < out[j].Pred
+	})
+	return out
+}
+
+// runsWhereTrue returns the indices of active runs in which predicate p
+// was observed true. A nil active slice means all runs.
+func runsWhereTrue(in Input, p int32, active []bool) []int {
+	var out []int
+	for i, r := range in.Set.Reports {
+		if active != nil && !active[i] {
+			continue
+		}
+		if r.True(p) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// fuzzWorld decodes bytes into an elimination problem. A 7-byte header
+// gives the site count, the extra predicates beyond one per site, the
+// discard policy, the candidate mode (nil, unsorted with duplicates,
+// every predicate), the cap (0, 1, 3), a twin flag and a candidate
+// mask. Then each 4-byte record is one run, repeated: label bit and
+// repeat count, observed-site mask, 16-bit true-predicate mask.
+// Predicate p lives on site p % sites and is true only where its site
+// was observed; with the twin flag, predicate `sites` (also on site 0)
+// copies predicate 0, forcing an Importance tie. One extra predicate,
+// the last, is never true.
+func fuzzWorld(data []byte) (Input, ElimOptions, bool) {
+	if len(data) < 7 {
+		return Input{}, ElimOptions{}, false
+	}
+	numSites := 1 + int(data[0]%8)
+	live := numSites + int(data[1]%8)
+	twin := data[5]&1 != 0 && live > numSites
+	siteOf := make([]int32, live+1)
+	for p := 0; p < live; p++ {
+		siteOf[p] = int32(p % numSites)
+	}
+
+	var rows []row
+	for off := 7; off+4 <= len(data) && len(rows) < 1024; off += 4 {
+		obs := data[off+1]
+		truth := uint16(data[off+2]) | uint16(data[off+3])<<8
+		if twin {
+			truth = truth&^(1<<numSites) | (truth&1)<<numSites
+		}
+		var sites, preds []int32
+		for s := 0; s < numSites; s++ {
+			if obs&(1<<s) != 0 {
+				sites = append(sites, int32(s))
+			}
+		}
+		for p := 0; p < live; p++ {
+			if truth&(1<<p) != 0 && obs&(1<<(p%numSites)) != 0 {
+				preds = append(preds, int32(p))
+			}
+		}
+		for n := 1 + int(data[off]>>1&7); n > 0; n-- {
+			rows = append(rows, row{failed: data[off]&1 != 0, preds: preds, sites: sites})
+		}
+	}
+
+	opts := ElimOptions{
+		Policy:        DiscardPolicy(data[2] % 3),
+		MaxPredictors: []int{0, 1, 3}[data[4]%3],
+	}
+	switch data[3] % 3 {
+	case 1:
+		opts.Candidates = []int{}
+		for p := live; p >= 0; p-- {
+			if data[6]&(1<<(p%8)) != 0 {
+				opts.Candidates = append(opts.Candidates, p)
+			}
+		}
+		if len(opts.Candidates) > 0 {
+			opts.Candidates = append(opts.Candidates, opts.Candidates[0])
+		}
+	case 2:
+		for p := 0; p <= live; p++ {
+			opts.Candidates = append(opts.Candidates, p)
+		}
+	}
+	return synth(live+1, numSites, siteOf, rows), opts, true
+}
+
+// fuzzSeed encodes rows (one record each) under the given header.
+func fuzzSeed(numSites, live int, header [5]byte, rows []row) []byte {
+	b := append([]byte{byte(numSites - 1), byte(live - numSites)}, header[:]...)
+	for _, r := range rows {
+		var label, obs byte
+		var truth uint16
+		if r.failed {
+			label = 1
+		}
+		for _, s := range r.sites {
+			obs |= 1 << s
+		}
+		for _, p := range r.preds {
+			truth |= 1 << p
+		}
+		b = append(b, label, obs, byte(truth), byte(truth>>8))
+	}
+	return b
+}
+
+// fuzzCorpora are the seed corpora: twoBugWorld, the P/¬P corpus of
+// TestNegatedPredicateTheorem, and a corpus of exact Importance ties
+// (twins 0 and 2 on site 0, 1 and 3 on site 1, each pair the top
+// choice of its round, plus failing runs that leave site 0 unobserved).
+func fuzzCorpora() []struct {
+	sites, live int
+	twin        byte
+	rows        []row
+} {
+	var twoBug []row
+	for _, r := range twoBugWorld().Set.Reports {
+		twoBug = append(twoBug, row{failed: r.Failed, preds: r.TruePreds, sites: r.ObservedSites})
+	}
+	var negated, ties []row
+	add := func(rows *[]row, n int, r row) {
+		for i := 0; i < n; i++ {
+			*rows = append(*rows, r)
+		}
+	}
+	add(&negated, 30, row{failed: true, preds: []int32{0}, sites: []int32{0}})
+	add(&negated, 20, row{failed: true, preds: []int32{1}, sites: []int32{0}})
+	add(&negated, 100, row{failed: false, preds: []int32{0}, sites: []int32{0}})
+	add(&negated, 100, row{failed: false, preds: []int32{1}, sites: []int32{0}})
+	add(&ties, 12, row{failed: true, preds: []int32{0, 2}, sites: []int32{0, 1}})
+	add(&ties, 8, row{failed: true, preds: []int32{1, 3}, sites: []int32{0, 1}})
+	add(&ties, 6, row{failed: true, sites: []int32{1}})
+	add(&ties, 2, row{failed: false, preds: []int32{0, 2}, sites: []int32{0}})
+	add(&ties, 40, row{failed: false, sites: []int32{0, 1}})
+	return []struct {
+		sites, live int
+		twin        byte
+		rows        []row
+	}{{5, 5, 0, twoBug}, {1, 2, 0, negated}, {2, 4, 1, ties}}
+}
+
+// TestFuzzSeedsDecode checks each seed corpus decodes to its own runs,
+// so the fuzz seeds are the corpora they are named after.
+func TestFuzzSeedsDecode(t *testing.T) {
+	for i, c := range fuzzCorpora() {
+		in, _, ok := fuzzWorld(fuzzSeed(c.sites, c.live, [5]byte{3: c.twin}, c.rows))
+		if !ok || len(in.Set.Reports) != len(c.rows) {
+			t.Fatalf("corpus %d: decoded %d runs, want %d", i, len(in.Set.Reports), len(c.rows))
+		}
+		for j, r := range in.Set.Reports {
+			w := c.rows[j]
+			if r.Failed != w.failed || !slices.Equal(r.TruePreds, w.preds) || !slices.Equal(r.ObservedSites, w.sites) {
+				t.Fatalf("corpus %d run %d: decoded %+v, want %+v", i, j, *r, w)
+			}
+		}
+	}
+}
+
+// FuzzEliminateMatchesReference pins the projection-based Eliminate,
+// Analyze and Affinity to the per-round definitions: the same []Ranked
+// under every policy, candidate list and cap, and the same affinity
+// list for every selected predicate, a non-candidate and a predicate
+// with no true runs.
+func FuzzEliminateMatchesReference(f *testing.F) {
+	for _, c := range fuzzCorpora() {
+		for policy := byte(0); policy < 3; policy++ {
+			for mode := byte(0); mode < 3; mode++ {
+				for limit := byte(0); limit < 3; limit++ {
+					f.Add(fuzzSeed(c.sites, c.live, [5]byte{policy, mode, limit, c.twin, 0xb7}, c.rows))
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, opts, ok := fuzzWorld(data)
+		if !ok {
+			return
+		}
+		want := eliminateReference(in, opts)
+		a := Analyze(in, opts)
+		if !reflect.DeepEqual(a.Ranked, want) {
+			t.Fatalf("Analyze(%+v).Ranked = %+v\nwant %+v", opts, a.Ranked, want)
+		}
+		if got := Eliminate(in, opts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Eliminate(%+v) = %+v\nwant %+v", opts, got, want)
+		}
+
+		cands := a.Candidates
+		inCand := map[int]bool{}
+		for _, p := range cands {
+			inCand[p] = true
+		}
+		check := func(p int) {
+			want := affinityReference(in, p, cands)
+			if got := Affinity(in, p, cands); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Affinity(%d, %v) = %+v\nwant %+v", p, cands, got, want)
+			}
+			if inCand[p] {
+				if got := a.Affinity(p, cands); !reflect.DeepEqual(got, want) {
+					t.Fatalf("Analysis.Affinity(%d, %v) = %+v\nwant %+v", p, cands, got, want)
+				}
+			}
+		}
+		for _, rk := range want {
+			check(rk.Pred)
+		}
+		for p := 0; p < in.Set.NumPreds; p++ {
+			if !inCand[p] {
+				check(p)
+				break
+			}
+		}
+		check(in.Set.NumPreds - 1) // never true
+	})
 }

@@ -98,17 +98,13 @@ func (eliminateEngine) Doc() string {
 // same predicate sequence /v1/predictors has always served. The score
 // is the effective (selection-time) Importance.
 func (eliminateEngine) Score(in Input, k int) []EnginePredictor {
-	full := Aggregate(in)
-	ranked := Eliminate(in, ElimOptions{
-		MaxPredictors: k,
-		Candidates:    FilterByIncrease(full, Z95),
-	})
-	out := make([]EnginePredictor, len(ranked))
-	for i, r := range ranked {
+	a := Analyze(in, ElimOptions{MaxPredictors: k})
+	out := make([]EnginePredictor, len(a.Ranked))
+	for i, r := range a.Ranked {
 		out[i] = EnginePredictor{
 			Pred:  r.Pred,
 			Score: r.EffectiveScores.Importance,
-			Stats: full.Stats[r.Pred],
+			Stats: a.Full.Stats[r.Pred],
 		}
 	}
 	return out

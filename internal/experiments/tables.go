@@ -173,9 +173,15 @@ func RunTable3(r *Runner) *Table3 {
 // selected predictors against ground truth. maxPreds caps the list
 // (0 = no cap).
 func CrossTab(res *harness.Result, maxPreds int) *Table3 {
-	in := res.CoreInput()
-	full := core.Aggregate(in)
-	ranked := core.Eliminate(in, core.ElimOptions{MaxPredictors: maxPreds})
+	t, _ := crossTab(res, maxPreds)
+	return t
+}
+
+// crossTab is CrossTab, also returning the analysis it ran so callers
+// can read affinity lists off the same projection.
+func crossTab(res *harness.Result, maxPreds int) (*Table3, *core.Analysis) {
+	a := core.Analyze(res.CoreInput(), core.ElimOptions{MaxPredictors: maxPreds})
+	full, ranked := a.Full, a.Ranked
 
 	perBugTotal := res.FailingRunsPerBug()
 	t := &Table3{
@@ -206,7 +212,7 @@ func CrossTab(res *harness.Result, maxPreds int) *Table3 {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t
+	return t, a
 }
 
 // Render prints the cross-tabulated predictor list.
@@ -247,20 +253,18 @@ type SmallTable struct {
 // RunSmallTable reproduces one of Tables 4-7 for the named subject.
 func RunSmallTable(r *Runner, name string) *SmallTable {
 	res := r.Result(name, harness.SampleUniform)
-	ct := CrossTab(res, 0)
+	ct, a := crossTab(res, 0)
 	st := &SmallTable{Subject: name, Rows: ct.Rows}
 
-	in := res.CoreInput()
 	var cands []int
 	for _, row := range ct.Rows {
 		cands = append(cands, row.Pred)
 	}
 	for _, row := range ct.Rows {
-		top := core.TopAffinity(in, row.Pred, cands)
-		if top < 0 {
+		if aff := a.Affinity(row.Pred, cands); len(aff) == 0 {
 			st.AffinityTop = append(st.AffinityTop, "")
 		} else {
-			st.AffinityTop = append(st.AffinityTop, res.PredText(top))
+			st.AffinityTop = append(st.AffinityTop, res.PredText(aff[0].Pred))
 		}
 	}
 	return st
