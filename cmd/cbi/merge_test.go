@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"cbi/internal/collector"
 	"cbi/internal/corpus"
@@ -62,11 +65,23 @@ func stateOf(srv *collector.Server) string {
 }
 
 // checkpoint is the state file of a WAL-enabled collector that ingested
-// runs lo..hi-1, so it carries a nonzero WAL watermark.
+// runs lo..hi-1 over HTTP from one client, so it carries a nonzero WAL
+// watermark and every run that client's routing key.
 func checkpoint(lo, hi int) func(*testing.T) string {
 	return func(t *testing.T) string {
 		path := filepath.Join(t.TempDir(), "shard.snap")
-		if err := mergeCollector(t, path, true, mergeRuns(lo, hi)).SnapshotNow(); err != nil {
+		srv := mergeCollector(t, path, true, nil)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		client := collector.NewClient(ts.URL, mergeSites, mergePreds, collector.WithClientID(fmt.Sprintf("client-%d", lo)))
+		set := &report.Set{NumSites: mergeSites, NumPreds: mergePreds, Reports: mergeRuns(lo, hi)}
+		if err := client.SubmitSet(context.Background(), set); err != nil {
+			t.Fatal(err)
+		}
+		for srv.StatsNow().ReportsApplied < int64(hi-lo) {
+			time.Sleep(time.Millisecond)
+		}
+		if err := srv.SnapshotNow(); err != nil {
 			t.Fatal(err)
 		}
 		return path
@@ -120,7 +135,9 @@ func legacy(lo, hi int, v1, noSidecar bool, doctor func(*corpus.AggSnapshot)) fu
 // torn when LOGGED (a version-1 file's run total) is not the log's
 // length; its counters are then rebuilt from the log. Counters that
 // exceed the log with LOGGED agreeing (merged-in runs from beyond a
-// peer's window), or that have no log at all, are kept as they are.
+// peer's window), or that have no log at all, are kept as they are. A
+// pushed checkpoint's runs keep their routing keys on the receiver, as
+// they do in a merged file, so a later resize can still move them.
 func TestMerge(t *testing.T) {
 	drift := func(snap *corpus.AggSnapshot) { // what a torn write leaves
 		snap.NumF += 7
@@ -147,7 +164,7 @@ func TestMerge(t *testing.T) {
 			args := []string{"-o", out}
 			var got *collector.Server
 			if tc.pushOn > 0 {
-				got = mergeCollector(t, "", false, mergeRuns(0, tc.pushOn))
+				got = mergeCollector(t, out, false, mergeRuns(0, tc.pushOn))
 				ts := httptest.NewServer(got.Handler())
 				defer ts.Close()
 				args = []string{"-push", ts.URL}
@@ -157,6 +174,19 @@ func TestMerge(t *testing.T) {
 			}
 			if err := cmdMerge(args); err != nil {
 				t.Fatal(err)
+			}
+			if tc.pushOn > 0 {
+				_, _, srcKeys, err := corpus.ReadCheckpointFile(args[len(args)-1])
+				if err != nil || len(srcKeys) == 0 {
+					t.Fatalf("pushed checkpoint: %d keys, err %v; want keyed runs", len(srcKeys), err)
+				}
+				if err := got.SnapshotNow(); err != nil {
+					t.Fatal(err)
+				}
+				_, _, keys, err := corpus.ReadCheckpointFile(out)
+				if err != nil || len(keys) < len(srcKeys) || !slices.Equal(keys[len(keys)-len(srcKeys):], srcKeys) {
+					t.Fatalf("receiver's checkpoint keys %v (err %v) do not end with the pushed keys %v", keys, err, srcKeys)
+				}
 			}
 			if got == nil {
 				// A merged file anchors no log, whatever its inputs did.

@@ -137,11 +137,11 @@ func cmdGateway(args []string) error {
 }
 
 // shardState is one collector's saved state as cbi merge reads it:
-// counters, retained window, and the window's routing keys (nil when
-// the file carries none).
+// counters, retained window as canonical records, and the window's
+// routing keys (nil when the file carries none).
 type shardState struct {
 	snap *corpus.AggSnapshot
-	set  *report.Set
+	recs [][]byte
 	keys []uint64
 }
 
@@ -150,9 +150,9 @@ type shardState struct {
 // watermark is dropped either way — a merged or pushed state anchors no
 // log.
 func readShardState(path string) (shardState, error) {
-	snap, set, keys, err := corpus.ReadCheckpointFile(path)
+	snap, recs, keys, err := corpus.ReadCheckpointFile(path)
 	if errors.Is(err, gzip.ErrHeader) {
-		snap, set, err = readLegacyPair(path)
+		snap, recs, err = readLegacyPair(path)
 	}
 	if err != nil {
 		return shardState{}, err
@@ -161,7 +161,7 @@ func readShardState(path string) (shardState, error) {
 		return shardState{}, fmt.Errorf("%s: no such state file", path)
 	}
 	snap.WALSeq, snap.WALIslands = 0, nil
-	return shardState{snap, set, keys}, nil
+	return shardState{snap, recs, keys}, nil
 }
 
 // readLegacyPair loads the on-disk format collectors wrote before the
@@ -173,7 +173,7 @@ func readShardState(path string) (shardState, error) {
 // LOGGED line (a version-1 file has none: its run total stands in)
 // says how many runs its companion log held, and when that is not the
 // sidecar's length the counters are recounted from the log.
-func readLegacyPair(path string) (*corpus.AggSnapshot, *report.Set, error) {
+func readLegacyPair(path string) (*corpus.AggSnapshot, [][]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -186,7 +186,7 @@ func readLegacyPair(path string) (*corpus.AggSnapshot, *report.Set, error) {
 	runs := path + ".runs"
 	rf, err := os.Open(runs)
 	if os.IsNotExist(err) {
-		return snap, &report.Set{NumSites: snap.NumSites, NumPreds: snap.NumPreds}, nil
+		return snap, nil, nil
 	}
 	if err != nil {
 		return nil, nil, err
@@ -219,7 +219,7 @@ func readLegacyPair(path string) (*corpus.AggSnapshot, *report.Set, error) {
 		}
 		snap = recount
 	}
-	return snap, set, nil
+	return snap, report.EncodeRecords(set.Reports), nil
 }
 
 // cmdMerge folds collector state files together offline into one
@@ -259,12 +259,12 @@ func cmdMerge(args []string) error {
 			collector.WithAPIKey(*key))
 		total := 0
 		for i, st := range states {
-			if err := client.PushMerge(ctx, st.snap, st.set); err != nil {
+			if err := client.PushMerge(ctx, st.snap, st.recs, st.keys); err != nil {
 				return fmt.Errorf("merge: pushing %s: %v", paths[i], err)
 			}
-			total += len(st.set.Reports)
+			total += len(st.recs)
 			fmt.Printf("pushed %s: %d runs of counters, %d logged runs\n",
-				paths[i], st.snap.NumF+st.snap.NumS, len(st.set.Reports))
+				paths[i], st.snap.NumF+st.snap.NumS, len(st.recs))
 		}
 		fmt.Printf("pushed %d segments (%d logged runs) to %s\n", len(states), total, *push)
 		return nil
@@ -277,9 +277,9 @@ func cmdMerge(args []string) error {
 		if err := corpus.MergeAggSnapshot(merged, st.snap); err != nil {
 			return fmt.Errorf("merge: %s: %v", paths[i], err)
 		}
-		recs = append(recs, report.EncodeRecords(st.set.Reports)...)
+		recs = append(recs, st.recs...)
 		if st.keys == nil {
-			st.keys = make([]uint64, len(st.set.Reports)) // corpus.NoKey each
+			st.keys = make([]uint64, len(st.recs)) // corpus.NoKey each
 		}
 		keys = append(keys, st.keys...)
 	}

@@ -68,9 +68,6 @@ type shardedAgg struct {
 	// Run counts, striped to keep parallel appliers off one cache line.
 	runs *runCounts
 
-	// encPool recycles record-encode scratch buffers (*[]byte) for the
-	// ingest path that hasn't pre-encoded its reports.
-	encPool sync.Pool
 	// foldPool recycles batched-fold workspaces (*foldScratch).
 	foldPool sync.Pool
 
@@ -296,30 +293,23 @@ func (a *shardedAgg) noteLocked(kind byte, data []byte) {
 	a.hist.add(corpus.DeltaEvent{Kind: kind, Data: data})
 }
 
-// Apply folds one report into the aggregate and the run log, evicting
-// (and un-counting) runs the retention caps no longer cover — the
-// oldest run when the log is at its count capacity, plus any runs
-// older than the age cap. Safe for concurrent use.
-func (a *shardedAgg) Apply(r *report.Report) {
-	a.gate.RLock()
-	defer a.gate.RUnlock()
-	a.applyOne(r, nil, corpus.NoKey)
-}
-
 // ApplyBatch folds a whole batch atomically with respect to snapshots
-// and queries: the gate is held across every report, and after (when
-// non-nil) runs under the same hold with the batch's encoded run-log
-// records — the point where callers mark the batch's WAL sequence
-// applied and stash the records for revoke reversal, so a concurrent
-// snapshot can never capture half a batch or a mark without its state.
-// encoded, when non-nil, supplies each report's canonical record
-// (index-aligned with reports) so a caller that already holds the
-// bytes — the wire spans of an arena-decoded body, a replayed WAL
-// payload — doesn't encode the batch again. The log copies a record it
-// has not seen before, so encoded may alias buffers the caller reuses
-// after the call. key is the batch's routing-key hash (corpus.NoKey
-// when unknown); every run in a batch shares one submitting client and
-// hence one key. recs is nil when retention is disabled.
+// and queries, evicting (and un-counting) runs the retention caps no
+// longer cover — the oldest runs when the log is at its count
+// capacity, plus any runs older than the age cap. The gate is held
+// across every report, and after (when non-nil) runs under the same
+// hold with the batch's interned run-log records — the point where
+// callers mark the batch's WAL sequence applied and stash the records
+// for revoke reversal, so a concurrent snapshot can never capture half
+// a batch or a mark without its state. encoded holds each report's
+// canonical record (index-aligned with reports): the wire spans of an
+// arena-decoded body, a replayed WAL payload, or an encoding made once
+// for an in-process batch. The log copies a record it has not seen
+// before, so encoded may alias buffers the caller reuses after the
+// call. key is the batch's routing-key hash (corpus.NoKey when
+// unknown); every run in a batch shares one submitting client and
+// hence one key. The returned records are nil when retention is
+// disabled. Safe for concurrent use.
 func (a *shardedAgg) ApplyBatch(reports []*report.Report, encoded [][]byte, key uint64, after func(recs [][]byte)) [][]byte {
 	a.gate.RLock()
 	defer a.gate.RUnlock()
@@ -327,10 +317,6 @@ func (a *shardedAgg) ApplyBatch(reports []*report.Report, encoded [][]byte, key 
 	if a.log != nil {
 		recs = make([][]byte, 0, len(reports))
 		now := a.now().UnixNano()
-		var scratch *[]byte
-		if encoded == nil {
-			scratch = a.getEncBuf()
-		}
 		a.logMu.Lock()
 		if a.maxAge > 0 {
 			// One age sweep covers the whole batch: every append below is
@@ -343,14 +329,7 @@ func (a *shardedAgg) ApplyBatch(reports []*report.Report, encoded [][]byte, key 
 				}
 			}
 		}
-		for i, r := range reports {
-			var pre []byte
-			if encoded != nil {
-				pre = encoded[i]
-			} else {
-				*scratch = report.AppendRecord((*scratch)[:0], r)
-				pre = *scratch
-			}
+		for _, pre := range encoded {
 			rec, ev := a.log.append(pre, key, now)
 			if a.hist != nil {
 				for range ev {
@@ -362,9 +341,6 @@ func (a *shardedAgg) ApplyBatch(reports []*report.Report, encoded [][]byte, key 
 			recs = append(recs, rec)
 		}
 		a.logMu.Unlock()
-		if scratch != nil {
-			a.encPool.Put(scratch)
-		}
 	}
 	a.bumpBatch(reports)
 	a.uncount(evicted)
@@ -372,56 +348,6 @@ func (a *shardedAgg) ApplyBatch(reports []*report.Report, encoded [][]byte, key 
 		after(recs)
 	}
 	return recs
-}
-
-// getEncBuf fetches a pooled record-encode scratch buffer.
-func (a *shardedAgg) getEncBuf() *[]byte {
-	if v := a.encPool.Get(); v != nil {
-		return v.(*[]byte)
-	}
-	return new([]byte)
-}
-
-// applyOne folds one report; callers hold gate.RLock. pre, when
-// non-nil, is the report's pre-computed AppendRecord encoding. Returns
-// the canonical (interned) run-log record (nil when retention is
-// disabled).
-func (a *shardedAgg) applyOne(r *report.Report, pre []byte, key uint64) []byte {
-	var rec []byte
-	var evicted [][]byte
-	if a.log != nil {
-		var scratch *[]byte
-		if pre == nil {
-			scratch = a.getEncBuf()
-			*scratch = report.AppendRecord((*scratch)[:0], r)
-			pre = *scratch
-		}
-		now := a.now().UnixNano()
-		a.logMu.Lock()
-		if a.maxAge > 0 {
-			evicted = a.log.evictExpired(now - int64(a.maxAge))
-		}
-		var ev [][]byte
-		rec, ev = a.log.append(pre, key, now)
-		evicted = append(evicted, ev...)
-		if a.hist != nil {
-			// Recording the evictions before the append is equivalent to
-			// the interleaved order above: the byte cap never evicts the
-			// newest run, and counter updates commute.
-			for range evicted {
-				a.noteLocked(corpus.DeltaEvict, nil)
-			}
-			a.noteLocked(corpus.DeltaAppend, rec)
-		}
-		a.logMu.Unlock()
-		if scratch != nil {
-			a.encPool.Put(scratch)
-		}
-	}
-
-	a.bump(r, +1)
-	a.uncount(evicted)
-	return rec
 }
 
 // foldScratch is the batched fold's workspace: dense per-id delta
@@ -536,15 +462,21 @@ func flushFold(dst, deltas []int64, touched []int32, mus []stripeMutex, block in
 	}
 }
 
-// uncount subtracts evicted run-log records from the counters, walking
-// each record's bytes into one reused id slab — no report is
-// materialized per evicted run. Callers must hold gate (either side).
+// uncount subtracts evicted run-log records from the counters.
+// Callers must hold gate (either side).
 func (a *shardedAgg) uncount(evicted [][]byte) {
-	if len(evicted) == 0 {
+	a.foldRecords(evicted, -1)
+}
+
+// foldRecords adds delta (+1 or -1) to the counters for every run-log
+// record, walking each record's bytes into one reused id slab — no
+// report is materialized per run. Callers must hold gate (either side).
+func (a *shardedAgg) foldRecords(recs [][]byte, delta int64) {
+	if len(recs) == 0 {
 		return
 	}
 	sc := a.getFold()
-	for _, rec := range evicted {
+	for _, rec := range recs {
 		ids, n, failed, err := report.AppendRecordIDs(sc.ids[:0], rec, a.numSites, a.numPreds)
 		if err != nil {
 			// The records are canonical encodings of already-validated
@@ -554,10 +486,10 @@ func (a *shardedAgg) uncount(evicted [][]byte) {
 			panic(fmt.Errorf("collector: run-log record: %v", err))
 		}
 		sc.ids = ids
-		if len(evicted) == 1 {
-			a.bumpIDs(failed, ids[:n], ids[n:], -1)
+		if len(recs) == 1 {
+			a.bumpIDs(failed, ids[:n], ids[n:], delta)
 		} else {
-			sc.add(failed, ids[:n], ids[n:], -1)
+			sc.add(failed, ids[:n], ids[n:], delta)
 		}
 	}
 	a.putFold(sc)
@@ -594,11 +526,12 @@ func (a *shardedAgg) EvictExpired() {
 // is disabled) — where the caller marks the merge's WAL sequence
 // applied and stashes the records so the merge is revocable (a
 // migration chunk whose source crashed mid-handoff is un-applied by
-// exactly these bytes). keys, when non-nil, carries the peer's
-// per-record routing-key hashes (aligned with reports) so migrated
-// runs stay addressable by range on this shard; nil keys joins the
-// runs unkeyed.
-func (a *shardedAgg) MergeSegment(snap *corpus.AggSnapshot, reports []*report.Report, keys []uint64, after func(recs [][]byte)) {
+// exactly these bytes). recs are the peer's canonical run-log records,
+// interned as they join (so they may alias a request body). keys, when
+// non-nil, carries the peer's per-record routing-key hashes (aligned
+// with recs) so migrated runs stay addressable by range on this shard;
+// nil keys joins the runs unkeyed.
+func (a *shardedAgg) MergeSegment(snap *corpus.AggSnapshot, recs [][]byte, keys []uint64, after func(recs [][]byte)) {
 	a.gate.Lock()
 	defer a.gate.Unlock()
 	for i, v := range snap.FobsSite {
@@ -617,7 +550,7 @@ func (a *shardedAgg) MergeSegment(snap *corpus.AggSnapshot, reports []*report.Re
 
 	var evicted, joined [][]byte
 	if a.log != nil {
-		joined = make([][]byte, 0, len(reports))
+		joined = make([][]byte, 0, len(recs))
 		now := a.now().UnixNano()
 		a.logMu.Lock()
 		if a.hist != nil {
@@ -644,14 +577,12 @@ func (a *shardedAgg) MergeSegment(snap *corpus.AggSnapshot, reports []*report.Re
 			}
 			evicted = append(evicted, ev...)
 		}
-		scratch := a.getEncBuf()
-		for i, r := range reports {
+		for i, pre := range recs {
 			key := corpus.NoKey
 			if keys != nil {
 				key = keys[i]
 			}
-			*scratch = report.AppendRecord((*scratch)[:0], r)
-			rec, ev := a.log.append(*scratch, key, now)
+			rec, ev := a.log.append(pre, key, now)
 			joined = append(joined, rec)
 			if a.hist != nil {
 				for range ev {
@@ -661,7 +592,6 @@ func (a *shardedAgg) MergeSegment(snap *corpus.AggSnapshot, reports []*report.Re
 			}
 			evicted = append(evicted, ev...)
 		}
-		a.encPool.Put(scratch)
 		a.logMu.Unlock()
 	}
 	a.uncount(evicted)
@@ -808,7 +738,7 @@ func (a *shardedAgg) RemoveRecords(recs [][]byte) [][]byte {
 }
 
 // Restore overwrites the counters from a snapshot. Callers must ensure
-// no concurrent Apply (it is used before a server starts ingesting).
+// no concurrent ApplyBatch (it is used before a server starts ingesting).
 func (a *shardedAgg) Restore(snap *corpus.AggSnapshot) {
 	a.gate.Lock()
 	defer a.gate.Unlock()
@@ -819,24 +749,24 @@ func (a *shardedAgg) Restore(snap *corpus.AggSnapshot) {
 	a.runs.Store(snap.NumF, snap.NumS)
 }
 
-// RestoreLog refills the run log from decoded reports (oldest first),
-// without touching the counters, and returns how many runs the
-// retention caps let it keep. No-op (returning 0) when retention is
-// disabled.
-func (a *shardedAgg) RestoreLog(reports []*report.Report, keys []uint64) (retained int) {
+// RestoreLog refills the run log from canonical records (oldest
+// first), interning a copy of each, without touching the counters, and
+// returns how many runs the retention caps let it keep. No-op
+// (returning 0) when retention is disabled.
+func (a *shardedAgg) RestoreLog(recs [][]byte, keys []uint64) (retained int) {
 	if a.log == nil {
 		return 0
 	}
 	a.gate.Lock()
 	defer a.gate.Unlock()
-	return a.log.restore(reports, keys, a.now().UnixNano())
+	return a.log.restore(recs, keys, a.now().UnixNano())
 }
 
 // RecountFromLog rebuilds every counter from the retained run log —
 // the log is the source of truth when a restart's retention caps kept
 // less of the window than the restored counters describe. Callers must
-// ensure no concurrent Apply.
-func (a *shardedAgg) RecountFromLog() error {
+// ensure no concurrent ApplyBatch.
+func (a *shardedAgg) RecountFromLog() {
 	a.gate.Lock()
 	defer a.gate.Unlock()
 	for _, xs := range [][]int64{a.fObsSite, a.sObsSite, a.fPred, a.sPred} {
@@ -845,17 +775,9 @@ func (a *shardedAgg) RecountFromLog() error {
 		}
 	}
 	a.runs.Store(0, 0)
-	if a.log == nil {
-		return nil
+	if a.log != nil {
+		a.foldRecords(a.log.records(), +1)
 	}
-	reports, err := decodeRecords(a.log.records(), a.numSites, a.numPreds)
-	if err != nil {
-		return err
-	}
-	for _, r := range reports {
-		a.bump(r, +1)
-	}
-	return nil
 }
 
 // LogView returns the retained run-log records in arrival order; the
@@ -950,12 +872,8 @@ func (a *shardedAgg) ExportChunk(ranges []corpus.KeyRange, sinceSeq uint64, max 
 	recs, keys, watermark, remaining := a.log.selectRange(ranges, sinceSeq, max)
 	a.logMu.Unlock()
 	snap := corpus.NewAggSnapshot(a.numSites, a.numPreds)
-	reports, err := decodeRecords(recs, a.numSites, a.numPreds)
-	if err != nil {
+	if err := snap.ApplyRecords(recs, +1); err != nil {
 		return nil, err
-	}
-	for _, r := range reports {
-		snap.ApplyReport(r, +1)
 	}
 	snap.Logged = int64(len(recs))
 	return &exportChunk{snap: snap, recs: recs, keys: keys, watermark: watermark, remaining: remaining, epoch: a.epoch}, nil
@@ -990,12 +908,8 @@ func (a *shardedAgg) ComputeResidual() (*corpus.AggSnapshot, error) {
 		recs = a.log.records()
 		a.logMu.Unlock()
 	}
-	reports, err := decodeRecords(recs, a.numSites, a.numPreds)
-	if err != nil {
+	if err := residual.ApplyRecords(recs, -1); err != nil {
 		return nil, err
-	}
-	for _, r := range reports {
-		residual.ApplyReport(r, -1)
 	}
 	zero := residual.NumF == 0 && residual.NumS == 0
 	for _, xs := range [][]int64{residual.FobsSite, residual.SobsSite, residual.FPred, residual.SPred} {

@@ -39,6 +39,12 @@ func testCorpus(t *testing.T) *harness.Result {
 	return corpusRes
 }
 
+// apply folds one report the way Server.Ingest does.
+func apply(a *shardedAgg, r *report.Report) {
+	reports := []*report.Report{r}
+	a.ApplyBatch(reports, report.EncodeRecords(reports), corpus.NoKey, nil)
+}
+
 // TestShardedAggMatchesBatchAggregate is the core streaming-equivalence
 // property: folding reports one at a time into the sharded counters,
 // from many goroutines in arbitrary order, must produce exactly the
@@ -55,7 +61,7 @@ func TestShardedAggMatchesBatchAggregate(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < len(in.Set.Reports); i += 8 {
-					agg.Apply(in.Set.Reports[i])
+					apply(agg, in.Set.Reports[i])
 				}
 			}(w)
 		}
@@ -79,7 +85,7 @@ func TestShardedAggSnapshotRestore(t *testing.T) {
 
 	agg := newShardedAgg(in.Set.NumSites, in.Set.NumPreds, 8, defaultRunLogCap, 0, 0, nil)
 	for _, r := range in.Set.Reports {
-		agg.Apply(r)
+		apply(agg, r)
 	}
 	snap, recs := agg.Snapshot(12345)
 	if snap.Fingerprint != 12345 {
@@ -104,7 +110,7 @@ func TestShardedAggSnapshotRestore(t *testing.T) {
 	savedFobs := append([]int64{}, snap.FobsSite...)
 	savedFPred := append([]int64{}, snap.FPred...)
 	for _, r := range in.Set.Reports {
-		agg.Apply(r)
+		apply(agg, r)
 	}
 	if !reflect.DeepEqual(snap.FobsSite, savedFobs) || !reflect.DeepEqual(snap.FPred, savedFPred) {
 		t.Fatal("snapshot aliases live counters")
@@ -151,10 +157,17 @@ func TestUncountMatchesBump(t *testing.T) {
 		keep := len(reports) / 3
 		build := func(n int) *shardedAgg {
 			a := newShardedAgg(numSites, numPreds, 3, defaultRunLogCap, 0, 0, nil)
-			a.ApplyBatch(reports[:n], nil, corpus.NoKey, nil)
+			a.ApplyBatch(reports[:n], report.EncodeRecords(reports[:n]), corpus.NoKey, nil)
 			return a
 		}
 		want := build(keep)
+		// Recounting folds the log's records through the same walk with
+		// +1, and must land on the counters ApplyBatch built.
+		recounted := build(len(reports))
+		recounted.RecountFromLog()
+		if full := build(len(reports)); !reflect.DeepEqual(counters(recounted), counters(full)) {
+			t.Fatalf("seed %d: counters after RecountFromLog differ from the applied ones", seed)
+		}
 
 		bumped := build(len(reports))
 		for _, r := range reports[keep:] {

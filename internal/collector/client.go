@@ -234,20 +234,24 @@ func (c *Client) send(ctx context.Context, batch []*report.Report) error {
 	return nil
 }
 
-// PushMerge ships a counter snapshot plus its run-log segment to the
-// collector's /v1/merge endpoint as one gzip'd merge segment, with the
-// same retry/dedup discipline as report batches. It is how a shard (or
-// an offline reducer) folds its state into a peer.
-func (c *Client) PushMerge(ctx context.Context, snap *corpus.AggSnapshot, set *report.Set) error {
+// PushMerge ships a counter snapshot plus its run window — canonical
+// run-log records with their routing-key hashes (keys[i] belongs to
+// recs[i]; nil when unknown) — to the collector's /v1/merge endpoint as
+// one gzip'd merge segment, with the same retry/dedup discipline as
+// report batches. It is how a shard (or an offline reducer) folds its
+// state into a peer; the keys keep the runs movable by a later resize.
+func (c *Client) PushMerge(ctx context.Context, snap *corpus.AggSnapshot, recs [][]byte, keys []uint64) error {
 	var buf bytes.Buffer
-	err := report.Gzip(&buf, func(gz io.Writer) error { return corpus.WriteMergeSegment(gz, snap, set) })
+	err := report.Gzip(&buf, func(gz io.Writer) error {
+		return corpus.WriteMergeSegmentRecords(gz, snap, snap.NumSites, snap.NumPreds, recs, keys)
+	})
 	if err != nil {
 		return err
 	}
 	err = c.deliver(ctx, "/v1/merge", "application/x-cbi-merge",
-		buf.Bytes(), len(set.Reports), randomID())
+		buf.Bytes(), len(recs), randomID())
 	if err != nil {
-		return fmt.Errorf("collector: pushing merge of %d runs: %v", len(set.Reports), err)
+		return fmt.Errorf("collector: pushing merge of %d runs: %v", len(recs), err)
 	}
 	return nil
 }

@@ -9,8 +9,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -42,12 +44,12 @@ func stdGzip(t testing.TB, fill func(io.Writer) error) []byte {
 // client's), which is what the equivalence tests below vary.
 func checkpointState(t testing.TB, path string) []byte {
 	t.Helper()
-	snap, set, _, err := corpus.ReadCheckpointFile(path)
+	snap, recs, _, err := corpus.ReadCheckpointFile(path)
 	if err != nil || snap == nil {
 		t.Fatalf("reading checkpoint %s: %v (snap %v)", path, err, snap)
 	}
 	var buf bytes.Buffer
-	if err := corpus.WriteMergeSegment(&buf, snap, set); err != nil {
+	if err := corpus.WriteMergeSegmentRecords(&buf, snap, snap.NumSites, snap.NumPreds, recs, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -129,15 +131,13 @@ func TestDefaultLevelGzipStillLoads(t *testing.T) {
 		peer.Ingest(r)
 	}
 	snap, recs := peer.agg.Snapshot(peer.cfg.Fingerprint)
-	peerSet := &report.Set{NumSites: in.Set.NumSites, NumPreds: in.Set.NumPreds}
-	if peerSet.Reports, err = decodeRecords(recs, in.Set.NumSites, in.Set.NumPreds); err != nil {
-		t.Fatal(err)
-	}
-	seg := stdGzip(t, func(w io.Writer) error { return corpus.WriteMergeSegment(w, snap, peerSet) })
+	seg := stdGzip(t, func(w io.Writer) error {
+		return corpus.WriteMergeSegmentRecords(w, snap, snap.NumSites, snap.NumPreds, recs, nil)
+	})
 	if code := post(t, oldTS.URL+"/v1/merge", "", seg); code != http.StatusAccepted {
 		t.Fatalf("default-level merge segment = %d, want 202", code)
 	}
-	if err := NewClient(newTS.URL, in.Set.NumSites, in.Set.NumPreds).PushMerge(context.Background(), snap, peerSet); err != nil {
+	if err := NewClient(newTS.URL, in.Set.NumSites, in.Set.NumPreds).PushMerge(context.Background(), snap, recs, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -288,5 +288,211 @@ func TestPooledCodecHostileInputThenReuse(t *testing.T) {
 	}
 	if want := wantTopK(in, ingested, 50); !reflect.DeepEqual(got, want) {
 		t.Fatal("scores after hostile input and concurrent reuse differ from the batch pipeline")
+	}
+}
+
+// gzipBody gzips what fill writes, then corrupts it: "gzip CRC" flips a
+// byte of the gzip trailer's checksum, "junk byte" writes one byte
+// after fill's payload inside the stream, "" leaves it valid.
+func gzipBody(t *testing.T, fill func(io.Writer) error, corrupt string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	err := report.Gzip(&buf, func(w io.Writer) error {
+		if err := fill(w); err != nil {
+			return err
+		}
+		if corrupt == "junk byte" {
+			_, err := w.Write([]byte{0})
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	if corrupt == "gzip CRC" {
+		b[len(b)-8] ^= 0xff
+	}
+	return b
+}
+
+// segmentOf writes the merge segment of reports — their counters and
+// their records, keyed when keys is set — as a fill for gzipBody.
+func segmentOf(cfg Config, reports []*report.Report, recs [][]byte, keys []uint64) func(io.Writer) error {
+	snap := corpus.NewAggSnapshot(cfg.NumSites, cfg.NumPreds)
+	snap.Fingerprint = cfg.Fingerprint
+	for _, r := range reports {
+		snap.ApplyReport(r, +1)
+	}
+	return func(w io.Writer) error {
+		return corpus.WriteMergeSegmentRecords(w, snap, cfg.NumSites, cfg.NumPreds, recs, keys)
+	}
+}
+
+// TestBodiesReadToTheEnd: a write endpoint's body, and a checkpoint
+// file, is exactly one payload inside one intact gzip stream. A corrupt
+// gzip trailer or a byte after the last record (after the key list of
+// a keyed segment) is refused with 400 before anything is applied, and
+// a checkpoint with either does not boot; the valid body then goes
+// through.
+func TestBodiesReadToTheEnd(t *testing.T) {
+	in := testCorpus(t).CoreInput()
+	cfg := serverConfig(t)
+	batch := in.Set.Reports[:40]
+	resident := in.Set.Reports[40:80]
+	keys := make([]uint64, len(batch))
+	for i := range keys {
+		keys[i] = corpus.KeyHash("peer")
+	}
+	batchSet := &report.Set{NumSites: cfg.NumSites, NumPreds: cfg.NumPreds, Reports: batch}
+	for _, tc := range []struct {
+		path, want string
+		fill       func(io.Writer) error
+		ok         int
+	}{
+		{"/v1/reports", "batches_accepted", batchSet.MarshalBinary, http.StatusAccepted},
+		{"/v1/merge", "merges_accepted", segmentOf(cfg, batch, report.EncodeRecords(batch), keys), http.StatusAccepted},
+		{"/v1/evict", "runlog_runs", segmentOf(cfg, resident, report.EncodeRecords(resident), nil), http.StatusOK},
+	} {
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		if err := srv.IngestBatch("resident", resident); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		counted := func() [2]int64 {
+			st := srv.StatsNow()
+			return map[string][2]int64{
+				"batches_accepted": {st.BatchesAccepted, st.ReportsEnqueued},
+				"merges_accepted":  {st.MergesAccepted, st.Runs},
+				"runlog_runs":      {int64(st.RunLogRuns), st.Runs},
+			}[tc.want]
+		}
+		before := counted()
+		for _, corrupt := range []string{"gzip CRC", "junk byte"} {
+			if code := post(t, ts.URL+tc.path, "", gzipBody(t, tc.fill, corrupt)); code != http.StatusBadRequest {
+				t.Errorf("%s with a %s = %d, want 400", tc.path, corrupt, code)
+			}
+			if got := counted(); got != before {
+				t.Errorf("%s with a %s moved %s: %v -> %v", tc.path, corrupt, tc.want, before, got)
+			}
+		}
+		if code := post(t, ts.URL+tc.path, "", gzipBody(t, tc.fill, "")); code != tc.ok {
+			t.Errorf("valid %s = %d, want %d", tc.path, code, tc.ok)
+		}
+	}
+
+	dir := t.TempDir()
+	for _, corrupt := range []string{"gzip CRC", "junk byte", ""} {
+		ckpt := cfg
+		ckpt.SnapshotPath = filepath.Join(dir, strings.ReplaceAll(corrupt, " ", "-")+".snap")
+		body := gzipBody(t, segmentOf(cfg, batch, report.EncodeRecords(batch), keys), corrupt)
+		if err := os.WriteFile(ckpt.SnapshotPath, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(ckpt)
+		if corrupt == "" {
+			if err != nil || srv.StatsNow().RunLogRuns != len(batch) {
+				t.Fatalf("valid checkpoint: err %v", err)
+			}
+			srv.Close()
+		} else if err == nil {
+			srv.Close()
+			t.Errorf("checkpoint with a %s booted", corrupt)
+		}
+	}
+}
+
+// padRecord returns rec with its site-list length re-encoded one byte
+// longer (a trailing zero continuation group): a record every decoder
+// accepts, but not the canonical AppendRecord bytes.
+func padRecord(rec []byte) []byte {
+	v, n := binary.Uvarint(rec[1:])
+	pad := binary.AppendUvarint([]byte{rec[0]}, v)
+	pad[len(pad)-1] |= 0x80
+	pad = append(pad, 0x00)
+	return append(pad, rec[1+n:]...)
+}
+
+// TestPaddedRecordsAdoptCanonicalBytes guards the record spans the
+// merge and restore paths adopt instead of re-encoding: a peer segment
+// and a checkpoint whose records carry overlong varints land in the run
+// log as exactly AppendRecord's bytes — the re-checkpointed state equals
+// that of a canonical twin — so an evict of the canonical chunk finds
+// and removes every run.
+func TestPaddedRecordsAdoptCanonicalBytes(t *testing.T) {
+	in := testCorpus(t).CoreInput()
+	cfg := serverConfig(t)
+	reports := in.Set.Reports[:60]
+	canon := report.EncodeRecords(reports)
+	var padded [][]byte
+	for _, rec := range canon {
+		if p := padRecord(rec); !bytes.Equal(p, rec) {
+			padded = append(padded, p)
+		}
+	}
+	if len(padded) != len(canon) {
+		t.Fatal("padding left a record canonical")
+	}
+	keys := make([]uint64, len(canon))
+	for i := range keys {
+		keys[i] = corpus.KeyHash("peer")
+	}
+	dir := t.TempDir()
+	boot := func(name string, ckpt [][]byte) (*Server, string) {
+		c := cfg
+		c.SnapshotPath = filepath.Join(dir, name+".snap")
+		if ckpt != nil {
+			if err := os.WriteFile(c.SnapshotPath, gzipBody(t, segmentOf(cfg, reports, ckpt, keys), ""), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv, c.SnapshotPath
+	}
+	merged := func(name string, recs [][]byte) (*Server, string) {
+		srv, path := boot(name, nil)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		if code := post(t, ts.URL+"/v1/merge", "", gzipBody(t, segmentOf(cfg, reports, recs, keys), "")); code != http.StatusAccepted {
+			t.Fatalf("%s: POST /v1/merge = %d", name, code)
+		}
+		return srv, path
+	}
+	stateOf := func(srv *Server, path string) []byte {
+		if err := srv.SnapshotNow(); err != nil {
+			t.Fatal(err)
+		}
+		return checkpointState(t, path)
+	}
+	twin, twinPath := merged("twin", canon)
+	want := stateOf(twin, twinPath)
+	for name, build := range map[string]func() (*Server, string){
+		"merge":   func() (*Server, string) { return merged("merge", padded) },
+		"restore": func() (*Server, string) { return boot("restore", padded) },
+	} {
+		srv, path := build()
+		if got := stateOf(srv, path); !bytes.Equal(got, want) {
+			t.Errorf("%s of padded records: checkpoint state differs from the canonical twin's", name)
+		}
+		if got := srv.agg.LogView(); !reflect.DeepEqual(got, canon) {
+			t.Errorf("%s of padded records: run log holds non-canonical bytes", name)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		code := post(t, ts.URL+"/v1/evict", "", gzipBody(t, segmentOf(cfg, reports, canon, nil), ""))
+		ts.Close()
+		if st := srv.StatsNow(); code != http.StatusOK || st.RunLogRuns != 0 || st.Runs != 0 {
+			t.Errorf("%s: evicting the canonical chunk = %d, left %d logged / %d runs; want every run removed",
+				name, code, st.RunLogRuns, st.Runs)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 // fetchState performs GET /v1/snapshot?since=... and decodes whichever
 // form came back.
-func fetchState(t *testing.T, url, since string) (snap *corpus.AggSnapshot, set *report.Set, delta *corpus.DeltaSegment, epoch, ver uint64) {
+func fetchState(t *testing.T, url, since string) (snap *corpus.AggSnapshot, window []*report.Report, delta *corpus.DeltaSegment, epoch, ver uint64) {
 	t.Helper()
 	if since != "" {
 		url += "?since=" + since
@@ -41,11 +41,14 @@ func fetchState(t *testing.T, url, since string) (snap *corpus.AggSnapshot, set 
 		}
 		return nil, nil, delta, epoch, ver
 	}
-	snap, set, _, err = corpus.ReadMergeSegmentKeyed(gz)
+	snap, recs, _, err := corpus.ReadMergeSegmentKeyed(gz)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snap, set, nil, epoch, ver
+	if window, err = report.DecodeRecords(recs, snap.NumSites, snap.NumPreds); err != nil {
+		t.Fatal(err)
+	}
+	return snap, window, nil, epoch, ver
 }
 
 // TestSnapshotDeltaEndpoint drives the versioned /v1/snapshot
@@ -69,14 +72,13 @@ func TestSnapshotDeltaEndpoint(t *testing.T) {
 	if err := srv.IngestBatch("d-0", reports[:40]); err != nil {
 		t.Fatal(err)
 	}
-	snap, set, delta, epoch, ver := fetchState(t, url, "")
+	snap, window, delta, epoch, ver := fetchState(t, url, "")
 	if delta != nil {
 		t.Fatal("unconditional snapshot answered with a delta")
 	}
 	if epoch == 0 || ver == 0 {
 		t.Fatalf("full export without state headers (epoch %d, version %d)", epoch, ver)
 	}
-	window := set.Reports
 
 	// More ingest, then ask for just the difference.
 	if err := srv.IngestBatch("d-1", reports[40:90]); err != nil {
@@ -99,16 +101,16 @@ func TestSnapshotDeltaEndpoint(t *testing.T) {
 
 	// The advanced warm copy equals a fresh full export, field by field
 	// and run by run.
-	fullSnap, fullSet, _, _, ver3 := fetchState(t, url, "")
+	fullSnap, fullWindow, _, _, ver3 := fetchState(t, url, "")
 	if ver3 != ver2 {
 		t.Fatalf("quiescent full export at version %d, warm copy at %d", ver3, ver2)
 	}
 	if !reflect.DeepEqual(snap, fullSnap) {
 		t.Fatalf("warm counters diverged:\nwarm %+v\nfull %+v", snap, fullSnap)
 	}
-	if !reflect.DeepEqual(window, fullSet.Reports) {
+	if !reflect.DeepEqual(window, fullWindow) {
 		t.Fatalf("warm window (%d runs) diverged from full export (%d runs)",
-			len(window), len(fullSet.Reports))
+			len(window), len(fullWindow))
 	}
 
 	// An empty delta is still a delta: nothing changed since ver2.

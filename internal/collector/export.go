@@ -200,7 +200,7 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	if closer != nil {
 		defer closer.Close()
 	}
-	snap, set, _, err := corpus.ReadMergeSegmentKeyed(reader)
+	snap, recs, _, err := corpus.ReadMergeSegmentKeyed(reader)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad evict chunk: %v", err), http.StatusBadRequest)
 		return
@@ -210,7 +210,7 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 			snap.NumSites, snap.NumPreds, s.cfg.NumSites, s.cfg.NumPreds), http.StatusBadRequest)
 		return
 	}
-	removed := s.agg.RemoveRecords(report.EncodeRecords(set.Reports))
+	removed := s.agg.RemoveRecords(recs)
 	if len(removed) > 0 {
 		s.migrateEvicted.Add(int64(len(removed)))
 		if s.cfg.WALPath != "" {
@@ -254,9 +254,10 @@ func (s *Server) handleResidual(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		residual.Fingerprint = s.cfg.Fingerprint
-		set := &report.Set{NumSites: s.cfg.NumSites, NumPreds: s.cfg.NumPreds}
 		w.Header().Set("Content-Type", "application/x-cbi-merge+gzip")
-		err = report.Gzip(w, func(gz io.Writer) error { return corpus.WriteMergeSegment(gz, residual, set) })
+		err = report.Gzip(w, func(gz io.Writer) error {
+			return corpus.WriteMergeSegmentRecords(gz, residual, s.cfg.NumSites, s.cfg.NumPreds, nil, nil)
+		})
 		if err != nil {
 			s.cfg.Logf("collector: residual export: %v", err)
 		}

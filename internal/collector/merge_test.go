@@ -12,12 +12,11 @@ import (
 	"testing"
 
 	"cbi/internal/corpus"
-	"cbi/internal/report"
 )
 
 // fetchSegment pulls a collector's /v1/snapshot merge segment, both as
 // the raw gzip'd bytes (for re-POSTing) and decoded.
-func fetchSegment(t *testing.T, ts *httptest.Server) ([]byte, *corpus.AggSnapshot, *report.Set) {
+func fetchSegment(t *testing.T, ts *httptest.Server) ([]byte, *corpus.AggSnapshot, [][]byte) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/snapshot")
 	if err != nil {
@@ -35,11 +34,11 @@ func fetchSegment(t *testing.T, ts *httptest.Server) ([]byte, *corpus.AggSnapsho
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, set, _, err := corpus.ReadMergeSegmentKeyed(gz)
+	snap, recs, _, err := corpus.ReadMergeSegmentKeyed(gz)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw, snap, set
+	return raw, snap, recs
 }
 
 // postMerge re-POSTs a gzip'd merge segment with a batch id, returning
@@ -96,12 +95,12 @@ func TestMergeEndpointEquivalence(t *testing.T) {
 	tsB := httptest.NewServer(b.Handler())
 	defer tsB.Close()
 
-	seg, snap, set := fetchSegment(t, tsB)
+	seg, snap, recs := fetchSegment(t, tsB)
 	if got := snap.NumF + snap.NumS; got != int64(len(in.Set.Reports)-half) {
 		t.Fatalf("b's snapshot counts %d runs, want %d", got, len(in.Set.Reports)-half)
 	}
-	if len(set.Reports) != len(in.Set.Reports)-half {
-		t.Fatalf("b's segment logs %d runs, want %d", len(set.Reports), len(in.Set.Reports)-half)
+	if len(recs) != len(in.Set.Reports)-half {
+		t.Fatalf("b's segment logs %d runs, want %d", len(recs), len(in.Set.Reports)-half)
 	}
 
 	code, body := postMerge(t, tsA, seg, "merge-b-into-a")
@@ -110,8 +109,8 @@ func TestMergeEndpointEquivalence(t *testing.T) {
 	}
 
 	st := a.StatsNow()
-	if st.MergesAccepted != 1 || st.MergedRuns != int64(len(set.Reports)) {
-		t.Fatalf("merge stats = %d merges / %d runs, want 1 / %d", st.MergesAccepted, st.MergedRuns, len(set.Reports))
+	if st.MergesAccepted != 1 || st.MergedRuns != int64(len(recs)) {
+		t.Fatalf("merge stats = %d merges / %d runs, want 1 / %d", st.MergesAccepted, st.MergedRuns, len(recs))
 	}
 	if int(st.Runs) != len(in.Set.Reports) {
 		t.Fatalf("merged collector counts %d runs, want %d", st.Runs, len(in.Set.Reports))
@@ -201,10 +200,9 @@ func TestMergeValidation(t *testing.T) {
 
 	// Wrong dimensions.
 	snap := corpus.NewAggSnapshot(3, 5)
-	set := &report.Set{NumSites: 3, NumPreds: 5}
 	var seg bytes.Buffer
 	gz = gzip.NewWriter(&seg)
-	if err := corpus.WriteMergeSegment(gz, snap, set); err != nil {
+	if err := corpus.WriteMergeSegmentRecords(gz, snap, 3, 5, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	gz.Close()
@@ -246,9 +244,9 @@ func TestPushMergeClient(t *testing.T) {
 	tsB := httptest.NewServer(b.Handler())
 	defer tsB.Close()
 
-	_, snap, set := fetchSegment(t, tsB)
+	_, snap, recs := fetchSegment(t, tsB)
 	client := NewClient(tsA.URL, in.Set.NumSites, in.Set.NumPreds)
-	if err := client.PushMerge(context.Background(), snap, set); err != nil {
+	if err := client.PushMerge(context.Background(), snap, recs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := a.StatsNow(); st.Runs != 64 || st.RunLogRuns != 64 {
@@ -280,9 +278,9 @@ func TestMergeBeyondWindowSurvivesRestart(t *testing.T) {
 	}
 	tsB := httptest.NewServer(b.Handler())
 	defer tsB.Close()
-	_, snap, set := fetchSegment(t, tsB)
-	if len(set.Reports) != 0 {
-		t.Fatalf("counters-only peer exported %d logged runs, want 0", len(set.Reports))
+	_, snap, recs := fetchSegment(t, tsB)
+	if len(recs) != 0 {
+		t.Fatalf("counters-only peer exported %d logged runs, want 0", len(recs))
 	}
 
 	a, err := New(cfg)
@@ -297,7 +295,7 @@ func TestMergeBeyondWindowSurvivesRestart(t *testing.T) {
 	}
 	tsA := httptest.NewServer(a.Handler())
 	client := NewClient(tsA.URL, in.Set.NumSites, in.Set.NumPreds)
-	if err := client.PushMerge(context.Background(), snap, set); err != nil {
+	if err := client.PushMerge(context.Background(), snap, recs, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := a.StatsNow()

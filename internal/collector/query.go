@@ -281,7 +281,7 @@ func (s serverSource) Window(context.Context) (string, func() (core.Input, error
 	// A body built from a view newer than this token is stored under a
 	// version no later request can ask for; the next poll recomputes.
 	return strconv.FormatUint(s.agg.LogVersion(), 10), func() (core.Input, error) {
-		reports, err := decodeRecords(s.agg.LogView(), s.cfg.NumSites, s.cfg.NumPreds)
+		reports, err := report.DecodeRecords(s.agg.LogView(), s.cfg.NumSites, s.cfg.NumPreds)
 		set := &report.Set{NumSites: s.cfg.NumSites, NumPreds: s.cfg.NumPreds, Reports: reports}
 		return core.Input{Set: set, SiteOf: s.cfg.SiteOf}, err
 	}, nil

@@ -1,11 +1,6 @@
 package collector
 
-import (
-	"fmt"
-
-	"cbi/internal/corpus"
-	"cbi/internal/report"
-)
+import "cbi/internal/corpus"
 
 // defaultRunLogCap is the default run-log retention cap: enough to hold
 // every run of any realistic single-collector experiment, while
@@ -288,32 +283,31 @@ func (l *runLog) remove(recs [][]byte) (removed [][]byte) {
 	return removed
 }
 
-// restore refills the log from decoded reports (oldest first), keeping
-// only the newest cap runs (count and byte caps both apply), all
-// stamped with the restore time (the at-rest format carries no per-run
-// clock, so ages restart conservatively). It returns how many runs were
-// retained so the caller can detect a trim. Counters are the caller's
-// business.
-func (l *runLog) restore(reports []*report.Report, keys []uint64, now int64) (retained int) {
-	if len(keys) != 0 && len(keys) != len(reports) {
+// restore refills the log from canonical records (oldest first),
+// interning a copy of each, so none aliases the caller's buffer (a
+// checkpoint body). It keeps only the newest cap runs (count and byte
+// caps both apply), all stamped with the restore time (the at-rest
+// format carries no per-run clock, so ages restart conservatively). It
+// returns how many runs were retained so the caller can detect a trim.
+// Counters are the caller's business.
+func (l *runLog) restore(recs [][]byte, keys []uint64, now int64) (retained int) {
+	if len(keys) != 0 && len(keys) != len(recs) {
 		keys = nil
 	}
-	if len(reports) > l.cap {
+	if len(recs) > l.cap {
 		if keys != nil {
-			keys = keys[len(reports)-l.cap:]
+			keys = keys[len(recs)-l.cap:]
 		}
-		reports = reports[len(reports)-l.cap:]
+		recs = recs[len(recs)-l.cap:]
 	}
 	l.interned = make(map[string]*internEntry)
-	l.recs = make([][]byte, len(reports))
-	l.times = make([]int64, len(reports))
-	l.keys = make([]uint64, len(reports))
-	l.seqs = make([]uint64, len(reports))
-	l.head, l.n, l.bytes = 0, len(reports), 0
-	var scratch []byte
-	for i, r := range reports {
-		scratch = report.AppendRecord(scratch[:0], r)
-		l.recs[i] = l.intern(scratch)
+	l.recs = make([][]byte, len(recs))
+	l.times = make([]int64, len(recs))
+	l.keys = make([]uint64, len(recs))
+	l.seqs = make([]uint64, len(recs))
+	l.head, l.n, l.bytes = 0, len(recs), 0
+	for i, rec := range recs {
+		l.recs[i] = l.intern(rec)
 		l.times[i] = now
 		if keys != nil {
 			l.keys[i] = keys[i]
@@ -333,17 +327,4 @@ func (l *runLog) restore(reports []*report.Report, keys []uint64, now int64) (re
 	}
 	l.version++
 	return l.n
-}
-
-// decodeRecords decodes run-log records into reports, in order.
-func decodeRecords(recs [][]byte, numSites, numPreds int) ([]*report.Report, error) {
-	out := make([]*report.Report, 0, len(recs))
-	for i, rec := range recs {
-		r, _, err := report.DecodeRecord(rec, numSites, numPreds)
-		if err != nil {
-			return nil, fmt.Errorf("collector: run-log record %d: %v", i, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

@@ -718,7 +718,7 @@ func (s *Server) SetAPIKeys(keys []string) {
 // is enabled, replays every WAL record the checkpoint does not cover.
 func (s *Server) restore() error {
 	cfg := s.cfg
-	snap, set, keys, err := corpus.ReadCheckpointFile(cfg.SnapshotPath)
+	snap, recs, keys, err := corpus.ReadCheckpointFile(cfg.SnapshotPath)
 	if err != nil {
 		return fmt.Errorf("collector: loading checkpoint: %v", err)
 	}
@@ -733,14 +733,13 @@ func (s *Server) restore() error {
 		}
 		s.agg.Restore(snap)
 		s.seqs.restoreState(snap.WALSeq, snap.WALIslands)
-		if cfg.RunLogSize > 0 && len(set.Reports) > 0 {
-			retained := s.agg.RestoreLog(set.Reports, keys)
-			if retained != len(set.Reports) {
+		// The window is adopted as the file's record bytes: the counters
+		// came with it, so nothing is folded unless the caps trimmed it.
+		if cfg.RunLogSize > 0 && len(recs) > 0 {
+			if retained := s.agg.RestoreLog(recs, keys); retained != len(recs) {
 				cfg.Logf("collector: retention caps trimmed the checkpoint window (%d runs checkpointed, %d retained); recounting",
-					len(set.Reports), retained)
-				if err := s.agg.RecountFromLog(); err != nil {
-					return fmt.Errorf("collector: recounting from checkpoint window: %v", err)
-				}
+					len(recs), retained)
+				s.agg.RecountFromLog()
 			}
 		}
 	}
@@ -835,7 +834,8 @@ func (s *Server) snapshotLoop() {
 // concurrent use with itself and with HTTP ingestion.
 func (s *Server) Ingest(r *report.Report) {
 	s.reportsEnqueued.Add(1)
-	s.agg.Apply(r)
+	reports := []*report.Report{r}
+	s.agg.ApplyBatch(reports, report.EncodeRecords(reports), corpus.NoKey, nil)
 	s.reportsApplied.Add(1)
 }
 
@@ -1169,7 +1169,8 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMerge folds a peer collector's exported state (counter
-// snapshot + retained run-log segment, the WriteMergeSegment framing)
+// snapshot + retained run-log segment, the WriteMergeSegmentRecords
+// framing, read to its end)
 // into this one. Counters add exactly; the peer's runs join the run
 // log without re-counting. Merges are applied synchronously — they are
 // rare reducer traffic, not the per-run hot path — and are idempotent
@@ -1190,7 +1191,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if closer != nil {
 		defer closer.Close()
 	}
-	snap, set, keys, err := corpus.ReadMergeSegmentKeyed(reader)
+	snap, recs, keys, err := corpus.ReadMergeSegmentKeyed(reader)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad merge segment: %v", err), http.StatusBadRequest)
 		return
@@ -1227,7 +1228,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	var seq uint64
 	if s.cfg.WALPath != "" {
 		var werr error
-		seq, werr = s.walAppend(&corpus.WALRecord{Kind: corpus.WALMerge, BatchID: batchID, Snap: snap, Reports: set.Reports, Keys: keys})
+		seq, werr = s.walAppend(&corpus.WALRecord{Kind: corpus.WALMerge, BatchID: batchID, Snap: snap, Recs: recs, Keys: keys})
 		if werr != nil {
 			s.acceptMu.RUnlock()
 			if batchID != "" {
@@ -1238,22 +1239,22 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.agg.MergeSegment(snap, set.Reports, keys, func(recs [][]byte) {
+	s.agg.MergeSegment(snap, recs, keys, func(joined [][]byte) {
 		s.seqs.markApplied(seq)
 		if batchID != "" {
 			// Stash the joined records so the merge is revocable — the
 			// repair path when a migration chunk's source crashes between
 			// delivery and its evict confirmation.
-			s.storeBatchRecs(batchID, recs)
+			s.storeBatchRecs(batchID, joined)
 		}
 	})
 	s.acceptMu.RUnlock()
 	s.mergesAccepted.Add(1)
 	s.mergedRuns.Add(snap.NumF + snap.NumS)
 	s.cfg.Logf("collector: merged peer segment (%d runs counted, %d logged)",
-		snap.NumF+snap.NumS, len(set.Reports))
+		snap.NumF+snap.NumS, len(recs))
 	w.WriteHeader(http.StatusAccepted)
-	fmt.Fprintf(w, `{"merged_runs":%d,"merged_logged":%d}`+"\n", snap.NumF+snap.NumS, len(set.Reports))
+	fmt.Fprintf(w, `{"merged_runs":%d,"merged_logged":%d}`+"\n", snap.NumF+snap.NumS, len(recs))
 }
 
 // handleSnapshot exports the collector's live state for shard gateways

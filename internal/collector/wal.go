@@ -310,7 +310,7 @@ func (s *Server) applyWALRecord(rec *corpus.WALRecord) {
 			s.rememberBatch(rec.BatchID)
 		}
 		if !covered {
-			s.agg.MergeSegment(rec.Snap, rec.Reports, rec.Keys, func(recs [][]byte) {
+			s.agg.MergeSegment(rec.Snap, rec.Recs, rec.Keys, func(recs [][]byte) {
 				s.seqs.markApplied(rec.Seq)
 				if rec.BatchID != "" {
 					s.storeBatchRecs(rec.BatchID, recs)
@@ -496,9 +496,8 @@ func (s *Server) IngestBatch(id string, reports []*report.Report) error {
 		return nil
 	}
 	var seq uint64
-	var encoded [][]byte
+	encoded := report.EncodeRecords(reports)
 	if s.cfg.WALPath != "" {
-		encoded = report.EncodeRecords(reports)
 		var err error
 		seq, err = s.walAppend(&corpus.WALRecord{Kind: corpus.WALBatch, BatchID: id, Recs: encoded})
 		if err != nil {

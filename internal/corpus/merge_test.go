@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,46 +61,41 @@ func TestMergeAggSnapshot(t *testing.T) {
 
 func TestMergeSegmentRoundTrip(t *testing.T) {
 	snap := sampleSnap()
-	set := &report.Set{
-		NumSites: snap.NumSites, NumPreds: snap.NumPreds,
-		Reports: []*report.Report{
-			{Failed: true, ObservedSites: []int32{0, 2}, TruePreds: []int32{1, 4}},
-			{Failed: false, ObservedSites: []int32{1}, TruePreds: []int32{3}},
-		},
-	}
+	recs := report.EncodeRecords([]*report.Report{
+		{Failed: true, ObservedSites: []int32{0, 2}, TruePreds: []int32{1, 4}},
+		{Failed: false, ObservedSites: []int32{1}, TruePreds: []int32{3}},
+	})
 	var buf bytes.Buffer
-	if err := WriteMergeSegment(&buf, snap, set); err != nil {
+	if err := WriteMergeSegmentRecords(&buf, snap, snap.NumSites, snap.NumPreds, recs, nil); err != nil {
 		t.Fatal(err)
 	}
-	gotSnap, gotSet, _, err := ReadMergeSegmentKeyed(bytes.NewReader(buf.Bytes()))
+	gotSnap, gotRecs, gotKeys, err := ReadMergeSegmentKeyed(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotSnap, snap) {
 		t.Fatalf("snapshot round trip mismatch:\nin:  %+v\nout: %+v", snap, gotSnap)
 	}
-	if !reflect.DeepEqual(gotSet, set) {
-		t.Fatalf("set round trip mismatch:\nin:  %+v\nout: %+v", set, gotSet)
+	if !reflect.DeepEqual(gotRecs, recs) || gotKeys != nil {
+		t.Fatalf("window round trip mismatch:\nin:  %x\nout: %x (keys %v)", recs, gotRecs, gotKeys)
 	}
 }
 
 func TestMergeSegmentErrors(t *testing.T) {
 	snap := sampleSnap()
-	okSet := &report.Set{NumSites: snap.NumSites, NumPreds: snap.NumPreds}
 
 	// Mismatched dimensions refuse at write time.
-	if err := WriteMergeSegment(&bytes.Buffer{}, snap,
-		&report.Set{NumSites: 9, NumPreds: 9}); err == nil {
+	if err := WriteMergeSegmentRecords(&bytes.Buffer{}, snap, 9, 9, nil, nil); err == nil {
 		t.Fatal("writing mismatched segment succeeded")
 	}
 
 	// More logged reports than the counters claim refuse at read time.
-	over := &report.Set{NumSites: snap.NumSites, NumPreds: snap.NumPreds}
+	var over [][]byte
 	for i := int64(0); i < snap.NumF+snap.NumS+1; i++ {
-		over.Reports = append(over.Reports, &report.Report{ObservedSites: []int32{0}})
+		over = append(over, report.AppendRecord(nil, &report.Report{ObservedSites: []int32{0}}))
 	}
 	var buf bytes.Buffer
-	if err := WriteMergeSegment(&buf, snap, over); err == nil {
+	if err := WriteMergeSegmentRecords(&buf, snap, snap.NumSites, snap.NumPreds, over, nil); err == nil {
 		if _, _, _, err := ReadMergeSegmentKeyed(bytes.NewReader(buf.Bytes())); err == nil {
 			t.Fatal("segment logging more runs than counted was accepted")
 		}
@@ -120,7 +116,7 @@ func TestMergeSegmentErrors(t *testing.T) {
 
 	// Truncated stream: a valid header whose body was cut off.
 	var full bytes.Buffer
-	if err := WriteMergeSegment(&full, snap, okSet); err != nil {
+	if err := WriteMergeSegmentRecords(&full, snap, snap.NumSites, snap.NumPreds, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	cut := full.Bytes()[:full.Len()/2]
@@ -164,4 +160,69 @@ func TestAggSnapshotV1Compat(t *testing.T) {
 	if _, err := LoadAggSnapshot(strings.NewReader(v9)); err == nil {
 		t.Fatal("version-9 snapshot was accepted")
 	}
+}
+
+// padRecord returns rec with its site-list length re-encoded one byte
+// longer (a trailing zero continuation group): a record every decoder
+// accepts, but not the canonical AppendRecord bytes.
+func padRecord(rec []byte) []byte {
+	v, n := binary.Uvarint(rec[1:])
+	pad := binary.AppendUvarint([]byte{rec[0]}, v)
+	pad[len(pad)-1] |= 0x80
+	pad = append(pad, 0x00)
+	return append(pad, rec[1+n:]...)
+}
+
+// FuzzMergeSegment feeds arbitrary bytes to the merge-segment reader.
+// It must never panic, and every segment it accepts must hold
+// canonical records (each exactly AppendRecord over its decoding), keys
+// aligned with them, no more logged runs than counted runs, and nothing
+// after the segment: the same bytes plus one more are refused.
+func FuzzMergeSegment(f *testing.F) {
+	snap := sampleSnap()
+	reports := []*report.Report{
+		{Failed: true, ObservedSites: []int32{0, 2}, TruePreds: []int32{1, 4}},
+		{Failed: false, ObservedSites: []int32{1}, TruePreds: []int32{3}},
+		{Failed: false},
+	}
+	recs := report.EncodeRecords(reports)
+	var padded [][]byte
+	for _, rec := range recs {
+		padded = append(padded, padRecord(rec))
+	}
+	keys := []uint64{KeyHash("a"), NoKey, KeyHash("b")}
+	for _, seed := range []struct {
+		recs [][]byte
+		keys []uint64
+	}{{recs, nil}, {recs, keys}, {padded, nil}, {padded, keys}, {nil, nil}} {
+		var buf bytes.Buffer
+		if err := WriteMergeSegmentRecords(&buf, snap, snap.NumSites, snap.NumPreds, seed.recs, seed.keys); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(append(buf.Bytes(), 0x00))
+	}
+	f.Add([]byte("cbi-merge 1 3\nabc"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, recs, keys, err := ReadMergeSegmentKeyed(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if int64(len(recs)) > snap.NumF+snap.NumS {
+			t.Fatalf("%d records for %d counted runs", len(recs), snap.NumF+snap.NumS)
+		}
+		if keys != nil && len(keys) != len(recs) {
+			t.Fatalf("%d keys for %d records", len(keys), len(recs))
+		}
+		for i, rec := range recs {
+			r, walked, err := report.DecodeRecord(rec, snap.NumSites, snap.NumPreds)
+			if err != nil || walked.Len != len(rec) || !bytes.Equal(rec, report.AppendRecord(nil, r)) {
+				t.Fatalf("record %d = %x is not canonical (err %v)", i, rec, err)
+			}
+		}
+		if _, _, _, err := ReadMergeSegmentKeyed(bytes.NewReader(append(data[:len(data):len(data)], 0x00))); err == nil {
+			t.Fatal("segment followed by a junk byte was accepted")
+		}
+	})
 }

@@ -287,22 +287,38 @@ func (snap *AggSnapshot) Clone() *AggSnapshot {
 // performs, so replaying a delta stream of appends and evictions
 // reproduces the collector's counters bit for bit.
 func (snap *AggSnapshot) ApplyReport(r *report.Report, delta int64) {
-	if r.Failed {
+	snap.apply(r.Failed, r.ObservedSites, r.TruePreds, delta)
+}
+
+// ApplyRecords is ApplyReport over canonical run records, walking each
+// record's ids into one reused slab instead of materializing reports.
+// It fails on a record that does not walk.
+func (snap *AggSnapshot) ApplyRecords(recs [][]byte, delta int64) error {
+	var slab []int32
+	for i, rec := range recs {
+		ids, sites, failed, err := report.AppendRecordIDs(slab[:0], rec, snap.NumSites, snap.NumPreds)
+		if err != nil {
+			return fmt.Errorf("corpus: record %d: %v", i, err)
+		}
+		snap.apply(failed, ids[:sites], ids[sites:], delta)
+		slab = ids
+	}
+	return nil
+}
+
+func (snap *AggSnapshot) apply(failed bool, sites, preds []int32, delta int64) {
+	obs, pred := snap.SobsSite, snap.SPred
+	if failed {
+		obs, pred = snap.FobsSite, snap.FPred
 		snap.NumF += delta
-		for _, s := range r.ObservedSites {
-			snap.FobsSite[s] += delta
-		}
-		for _, p := range r.TruePreds {
-			snap.FPred[p] += delta
-		}
 	} else {
 		snap.NumS += delta
-		for _, s := range r.ObservedSites {
-			snap.SobsSite[s] += delta
-		}
-		for _, p := range r.TruePreds {
-			snap.SPred[p] += delta
-		}
+	}
+	for _, s := range sites {
+		obs[s] += delta
+	}
+	for _, p := range preds {
+		pred[p] += delta
 	}
 }
 
@@ -321,38 +337,27 @@ const (
 // O(sites+preds) decimal integers).
 const maxMergeSnapBytes = 1 << 28
 
-// WriteMergeSegment writes one shard's exported state — its counter
-// snapshot plus its retained run-log window as a binary report set —
-// as a single framed stream:
+// WriteMergeSegmentRecords writes one shard's exported state — its
+// counter snapshot plus its retained run window as a binary report set
+// — as a single framed stream:
 //
-//	cbi-merge 1 <snapshotBytes>
+//	cbi-merge <version> <snapshotBytes>
 //	<snapshotBytes bytes of SaveAggSnapshot text>
 //	<report.Set binary wire format>
+//	[key section, version 2 only]
 //
 // This is the payload of the collector's POST /v1/merge endpoint and
 // GET /v1/snapshot export, and (gzip'd) the checkpoint file: together
 // the two parts let a reducer fold N shard states into one exact global
-// state (counters add, run windows concatenate).
-func WriteMergeSegment(w io.Writer, snap *AggSnapshot, set *report.Set) error {
-	return WriteMergeSegmentKeyed(w, snap, set, nil)
-}
-
-// WriteMergeSegmentKeyed is WriteMergeSegmentRecords over decoded
-// reports (keys[i] belongs to set.Reports[i]).
-func WriteMergeSegmentKeyed(w io.Writer, snap *AggSnapshot, set *report.Set, keys []uint64) error {
-	return WriteMergeSegmentRecords(w, snap, set.NumSites, set.NumPreds, report.EncodeRecords(set.Reports), keys)
-}
-
-// WriteMergeSegmentRecords writes a merge segment from encoded run-log
-// records (canonical report.AppendRecord bytes — the run-window part of
-// the frame is exactly their concatenation, so exporters skip a decode
-// → re-encode round trip) carrying a routing-key hash per record
-// (keys[i] belongs to recs[i]; see KeyHash). When keys is nil, or every
-// key is NoKey, the output is a plain v1 segment; otherwise a v2
-// segment with a key section — a uvarint count followed by that many
-// uvarint keys — after the run window. Keys let migrated runs stay
-// addressable by range on the destination shard, so a later resize can
-// move them again.
+// state (counters add, run windows concatenate). The run window is
+// written from encoded run-log records (canonical report.AppendRecord
+// bytes — the set body is exactly their concatenation) carrying a
+// routing-key hash per record (keys[i] belongs to recs[i]; see
+// KeyHash). When keys is nil, or every key is NoKey, the output is a
+// plain v1 segment; otherwise a v2 segment with a key section — a
+// uvarint count followed by that many uvarint keys — after the run
+// window. Keys let migrated runs stay addressable by range on the
+// destination shard, so a later resize can move them again.
 func WriteMergeSegmentRecords(w io.Writer, snap *AggSnapshot, numSites, numPreds int, recs [][]byte, keys []uint64) error {
 	if numSites != snap.NumSites || numPreds != snap.NumPreds {
 		return fmt.Errorf("corpus: merge segment set dimensions %dx%d disagree with snapshot %dx%d",
@@ -398,18 +403,33 @@ func WriteMergeSegmentRecords(w io.Writer, snap *AggSnapshot, numSites, numPreds
 	return err
 }
 
-// ReadMergeSegmentKeyed parses a merge segment, validating that its two
-// parts describe the same predicate universe; for a keyed (v2) segment
-// it also returns the per-record routing-key hashes (aligned with
-// set.Reports), for a v1 segment keys == nil. It is safe on hostile
-// input: allocation is bounded and errors are returned rather than
-// panicking.
-func ReadMergeSegmentKeyed(r io.Reader) (*AggSnapshot, *report.Set, []uint64, error) {
-	br := bufio.NewReader(r)
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("corpus: merge segment header: %v", err)
+// ReadMergeSegmentKeyed reads r to EOF and parses it as exactly one
+// merge segment (see parseMergeSegment): a read error anywhere — a
+// corrupt gzip trailer, say — or a byte after the segment rejects it.
+func ReadMergeSegmentKeyed(r io.Reader) (*AggSnapshot, [][]byte, []uint64, error) {
+	// A bytes.Buffer doubles as it fills; io.ReadAll's gentler growth
+	// copies a multi-megabyte segment several times over.
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, nil, nil, fmt.Errorf("corpus: merge segment: %v", err)
 	}
+	return parseMergeSegment(buf.Bytes())
+}
+
+// parseMergeSegment parses buf as exactly one merge segment, validating
+// that its two parts describe the same predicate universe. It returns
+// the window's canonical records (report.SetRecords: spans of buf where
+// the sender's bytes are canonical, so a holder that retains one must
+// copy it) and, for a keyed (v2) segment, the per-record routing-key
+// hashes aligned with them; for a v1 segment keys == nil. It is safe on
+// hostile input: allocation is bounded by len(buf) and errors are
+// returned rather than panicking.
+func parseMergeSegment(buf []byte) (*AggSnapshot, [][]byte, []uint64, error) {
+	nl := bytes.IndexByte(buf, '\n')
+	if nl < 0 {
+		return nil, nil, nil, fmt.Errorf("corpus: merge segment header: %v", io.ErrUnexpectedEOF)
+	}
+	line := string(buf[:nl+1])
 	var version, snapLen int
 	if _, err := fmt.Sscanf(line, "cbi-merge %d %d", &version, &snapLen); err != nil {
 		return nil, nil, nil, fmt.Errorf("corpus: bad merge segment header %q: %v", strings.TrimSpace(line), err)
@@ -420,45 +440,50 @@ func ReadMergeSegmentKeyed(r io.Reader) (*AggSnapshot, *report.Set, []uint64, er
 	if snapLen <= 0 || snapLen > maxMergeSnapBytes {
 		return nil, nil, nil, fmt.Errorf("corpus: merge segment snapshot length %d out of range", snapLen)
 	}
-	snapText := make([]byte, snapLen)
-	if _, err := io.ReadFull(br, snapText); err != nil {
-		return nil, nil, nil, fmt.Errorf("corpus: merge segment snapshot: %v", err)
+	rest := buf[nl+1:]
+	if snapLen > len(rest) {
+		return nil, nil, nil, fmt.Errorf("corpus: merge segment snapshot: %v", io.ErrUnexpectedEOF)
 	}
-	snap, err := LoadAggSnapshot(bytes.NewReader(snapText))
+	snap, err := LoadAggSnapshot(bytes.NewReader(rest[:snapLen]))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	set, err := report.UnmarshalBinary(br)
+	rest = rest[snapLen:]
+	numSites, numPreds, recs, end, err := report.SetRecords(rest)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if set.NumSites != snap.NumSites || set.NumPreds != snap.NumPreds {
+	if numSites != snap.NumSites || numPreds != snap.NumPreds {
 		return nil, nil, nil, fmt.Errorf("corpus: merge segment set dimensions %dx%d disagree with snapshot %dx%d",
-			set.NumSites, set.NumPreds, snap.NumSites, snap.NumPreds)
+			numSites, numPreds, snap.NumSites, snap.NumPreds)
 	}
-	if int64(len(set.Reports)) > snap.NumF+snap.NumS {
+	if int64(len(recs)) > snap.NumF+snap.NumS {
 		return nil, nil, nil, fmt.Errorf("corpus: merge segment logs %d runs but counts only %d",
-			len(set.Reports), snap.NumF+snap.NumS)
+			len(recs), snap.NumF+snap.NumS)
 	}
+	rest = rest[end:]
 	var keys []uint64
 	if version == mergeSegVersionKeyed {
-		count, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("corpus: merge segment key count: %v", err)
+		count, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return nil, nil, nil, fmt.Errorf("corpus: merge segment key count: %v", io.ErrUnexpectedEOF)
 		}
-		if count != uint64(len(set.Reports)) {
-			return nil, nil, nil, fmt.Errorf("corpus: merge segment has %d keys for %d records", count, len(set.Reports))
+		if count != uint64(len(recs)) {
+			return nil, nil, nil, fmt.Errorf("corpus: merge segment has %d keys for %d records", count, len(recs))
 		}
+		rest = rest[n:]
 		keys = make([]uint64, count)
 		for i := range keys {
-			k, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("corpus: merge segment key %d: %v", i, err)
+			if keys[i], n = binary.Uvarint(rest); n <= 0 {
+				return nil, nil, nil, fmt.Errorf("corpus: merge segment key %d: %v", i, io.ErrUnexpectedEOF)
 			}
-			keys[i] = k
+			rest = rest[n:]
 		}
 	}
-	return snap, set, keys, nil
+	if len(rest) != 0 {
+		return nil, nil, nil, fmt.Errorf("corpus: merge segment followed by %d trailing bytes", len(rest))
+	}
+	return snap, recs, keys, nil
 }
 
 // WriteCheckpointFileRecords persists a checkpoint — a collector's one
@@ -503,11 +528,13 @@ func WriteCheckpointFileRecords(path string, snap *AggSnapshot, numSites, numPre
 }
 
 // ReadCheckpointFile loads a checkpoint written by
-// WriteCheckpointFileRecords. A missing file returns all nil values:
+// WriteCheckpointFileRecords: the whole file must be one merge segment,
+// whose window comes back as canonical records (see
+// parseMergeSegment). A missing file returns all nil values:
 // cold start. A file that is not a gzip stream is refused with the
 // importer command — it is most likely a pre-checkpoint plain-text
 // snapshot, whose .runs sidecar only cbi merge still reads.
-func ReadCheckpointFile(path string) (*AggSnapshot, *report.Set, []uint64, error) {
+func ReadCheckpointFile(path string) (*AggSnapshot, [][]byte, []uint64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil, nil, nil
@@ -521,9 +548,9 @@ func ReadCheckpointFile(path string) (*AggSnapshot, *report.Set, []uint64, error
 		return nil, nil, nil, fmt.Errorf("corpus: %s is not a checkpoint: %w (a legacy snapshot + .runs pair is converted by: cbi merge -o <new> %s)", path, err, path)
 	}
 	defer gz.Close()
-	snap, set, keys, err := ReadMergeSegmentKeyed(gz)
+	snap, recs, keys, err := ReadMergeSegmentKeyed(gz)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("corpus: checkpoint %s: %v", path, err)
 	}
-	return snap, set, keys, nil
+	return snap, recs, keys, nil
 }

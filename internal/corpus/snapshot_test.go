@@ -75,17 +75,13 @@ func TestAggSnapshotErrors(t *testing.T) {
 // start and a file cut short an error, never a silently empty state.
 func TestDefaultLevelFilesStillLoad(t *testing.T) {
 	dir := t.TempDir()
-	if snap, set, keys, err := ReadCheckpointFile(filepath.Join(dir, "none.snap")); err != nil || snap != nil || set != nil || keys != nil {
-		t.Fatalf("missing file: got %v, %v, %v, %v; want all nil", snap, set, keys, err)
+	if snap, recs, keys, err := ReadCheckpointFile(filepath.Join(dir, "none.snap")); err != nil || snap != nil || recs != nil || keys != nil {
+		t.Fatalf("missing file: got %v, %v, %v, %v; want all nil", snap, recs, keys, err)
 	}
-	set := &report.Set{NumSites: 3, NumPreds: 5}
-	for i := 0; i < 300; i++ {
-		set.Reports = append(set.Reports, &report.Report{
-			Failed: i%3 == 0, ObservedSites: []int32{int32(i % 3)}, TruePreds: []int32{int32(i % 5)}})
-	}
-	recs := make([][]byte, len(set.Reports))
-	keys := make([]uint64, len(set.Reports))
-	for i, r := range set.Reports {
+	recs := make([][]byte, 300)
+	keys := make([]uint64, len(recs))
+	for i := range recs {
+		r := &report.Report{Failed: i%3 == 0, ObservedSites: []int32{int32(i % 3)}, TruePreds: []int32{int32(i % 5)}}
 		recs[i], keys[i] = report.AppendRecord(nil, r), KeyHash("client")+uint64(i)
 	}
 	snap := sampleSnap()
@@ -94,7 +90,7 @@ func TestDefaultLevelFilesStillLoad(t *testing.T) {
 
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
-	if err := WriteMergeSegmentKeyed(gz, snap, set, keys); err != nil {
+	if err := WriteMergeSegmentRecords(gz, snap, 3, 5, recs, keys); err != nil {
 		t.Fatal(err)
 	}
 	if err := gz.Close(); err != nil {
@@ -105,15 +101,15 @@ func TestDefaultLevelFilesStillLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	newCkpt := filepath.Join(dir, "new.snap")
-	if err := WriteCheckpointFileRecords(newCkpt, snap, set.NumSites, set.NumPreds, recs, keys); err != nil {
+	if err := WriteCheckpointFileRecords(newCkpt, snap, 3, 5, recs, keys); err != nil {
 		t.Fatal(err)
 	}
 	for _, path := range []string{oldCkpt, newCkpt} {
-		gotSnap, gotSet, gotKeys, err := ReadCheckpointFile(path)
+		gotSnap, gotRecs, gotKeys, err := ReadCheckpointFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		if !reflect.DeepEqual(gotSnap, snap) || !reflect.DeepEqual(gotSet, set) || !reflect.DeepEqual(gotKeys, keys) {
+		if !reflect.DeepEqual(gotSnap, snap) || !reflect.DeepEqual(gotRecs, recs) || !reflect.DeepEqual(gotKeys, keys) {
 			t.Errorf("%s: loaded state differs from what was saved", path)
 		}
 	}

@@ -39,8 +39,9 @@ import (
 //	crc      4 bytes little-endian CRC32-C over kind..payload
 //
 // Batch payloads are a uvarint report count followed by that many
-// report.AppendRecord encodings. Merge payloads are a WriteMergeSegment
-// stream (the peer's counter snapshot + its run window). Revoke
+// report.AppendRecord encodings. Merge payloads are exactly one
+// WriteMergeSegmentRecords segment (the peer's counter snapshot + its
+// run window); a byte after it fails the record like a torn one. Revoke
 // payloads are a uvarint id count followed by length-prefixed batch
 // ids. A torn tail — the partial record a crash mid-write leaves — is
 // detected by the CRC (or by running out of bytes) and dropped; a
@@ -94,17 +95,17 @@ type WALRecord struct {
 	// BatchID is the client batch id ('B' and 'M' records), used to
 	// re-seed retry dedup on replay. May be empty.
 	BatchID string
-	// Reports holds the batch's runs ('B') or the merged peer's run
-	// window ('M').
+	// Reports holds the runs of a batch or evict record ('B', 'K',
+	// 'E'); it is written only when Recs is nil.
 	Reports []*report.Report
-	// Recs, when non-nil on a batch or evict record, holds the batch's
-	// runs already encoded with report.AppendRecord — the exact bytes
-	// the payload would contain — letting a caller that has the
+	// Recs holds runs as canonical report.AppendRecord encodings — the
+	// exact bytes the payload contains: the merged peer's run window
+	// ('M', always), or a batch's runs, letting a caller that has the
 	// encodings anyway (the collector uses them as run-log records) pay
-	// for encoding once; Reports is not consulted when set. A record
-	// read back carries both: Recs aligned with Reports, as spans of
-	// the payload it was read from (re-encoded only where the payload
-	// was not canonical), so replay does not encode either.
+	// for encoding once. A record read back carries Recs as spans of the
+	// payload it was read from (re-encoded only where the payload was
+	// not canonical), and a batch also its decoded Reports, aligned, so
+	// replay encodes nothing.
 	Recs [][]byte
 	// Snap is the merged peer's counter snapshot ('M'), or the
 	// subtracted residual counters ('D').
@@ -114,7 +115,7 @@ type WALRecord struct {
 	// Key is the routing-key hash of a keyed batch ('K' only).
 	Key uint64
 	// Keys, when non-nil on a 'M' record, carries the merged peer's
-	// per-record routing-key hashes (aligned with Reports).
+	// per-record routing-key hashes (aligned with Recs).
 	Keys []uint64
 }
 
@@ -151,8 +152,7 @@ func AppendWALRecord(dst []byte, rec *WALRecord, numSites, numPreds int) ([]byte
 			return nil, fmt.Errorf("corpus: WAL merge record without snapshot")
 		}
 		var buf bytes.Buffer
-		set := &report.Set{NumSites: rec.Snap.NumSites, NumPreds: rec.Snap.NumPreds, Reports: rec.Reports}
-		if err := WriteMergeSegmentKeyed(&buf, rec.Snap, set, rec.Keys); err != nil {
+		if err := WriteMergeSegmentRecords(&buf, rec.Snap, rec.Snap.NumSites, rec.Snap.NumPreds, rec.Recs, rec.Keys); err != nil {
 			return nil, err
 		}
 		payload = buf.Bytes()
@@ -362,7 +362,7 @@ func ReadWALRecord(br *bufio.Reader, numSites, numPreds int) (*WALRecord, error)
 			return nil, fmt.Errorf("corpus: WAL batch has %d trailing bytes", len(rest))
 		}
 	case WALMerge:
-		snap, set, keys, err := ReadMergeSegmentKeyed(bytes.NewReader(payload))
+		snap, recs, keys, err := parseMergeSegment(payload)
 		if err != nil {
 			return nil, fmt.Errorf("corpus: WAL merge payload: %v", err)
 		}
@@ -371,7 +371,7 @@ func ReadWALRecord(br *bufio.Reader, numSites, numPreds int) (*WALRecord, error)
 				snap.NumSites, snap.NumPreds, numSites, numPreds)
 		}
 		rec.Snap = snap
-		rec.Reports = set.Reports
+		rec.Recs = recs
 		rec.Keys = keys
 	case WALDrainResidual:
 		snap, err := LoadAggSnapshot(bytes.NewReader(payload))

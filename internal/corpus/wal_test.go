@@ -3,6 +3,8 @@ package corpus
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -27,7 +29,7 @@ func walSampleRecords() []*WALRecord {
 		{Kind: WALBatch, Seq: 1, BatchID: "batch-a", Reports: walSampleReports()},
 		{Kind: WALBatch, Seq: 2, Reports: nil}, // empty batch, empty id
 		{Kind: WALMerge, Seq: 3, BatchID: "merge-7", Snap: snap,
-			Reports: walSampleReports()[:1]},
+			Recs: report.EncodeRecords(walSampleReports()[:1])},
 		{Kind: WALRevoke, Seq: 4, IDs: []string{"batch-a", "batch-zz"}},
 		{Kind: WALRevoke, Seq: 5, IDs: nil},
 	}
@@ -49,6 +51,9 @@ func sameWALRecord(t *testing.T, want, got *WALRecord) {
 			t.Fatalf("record %d report %d mismatch:\nwant %+v\ngot  %+v",
 				want.Seq, i, want.Reports[i], got.Reports[i])
 		}
+	}
+	if want.Recs != nil && !reflect.DeepEqual(want.Recs, got.Recs) {
+		t.Fatalf("record %d records: want %x, got %x", want.Seq, want.Recs, got.Recs)
 	}
 	if !reflect.DeepEqual(want.IDs, got.IDs) && !(len(want.IDs) == 0 && len(got.IDs) == 0) {
 		t.Fatalf("record %d ids: want %v, got %v", want.Seq, want.IDs, got.IDs)
@@ -491,9 +496,46 @@ func FuzzWALRoundTrip(f *testing.F) {
 				t.Fatalf("re-encoded record failed to decode: %v", err)
 			}
 			if rec.Kind != rec2.Kind || rec.Seq != rec2.Seq || rec.BatchID != rec2.BatchID ||
-				len(rec.Reports) != len(rec2.Reports) || len(rec.IDs) != len(rec2.IDs) {
+				len(rec.Reports) != len(rec2.Reports) || len(rec.Recs) != len(rec2.Recs) || len(rec.IDs) != len(rec2.IDs) {
 				t.Fatalf("round trip drift: %+v vs %+v", rec, rec2)
 			}
 		}
 	})
+}
+
+// TestWALMergePayloadReadToTheEnd: a merge record's payload is exactly
+// one merge segment. A byte after the segment's key list fails the
+// record as torn even though its checksum holds, so replay never
+// applies a merge whose payload it did not fully understand.
+func TestWALMergePayloadReadToTheEnd(t *testing.T) {
+	snap := sampleSnap()
+	rec := &WALRecord{Kind: WALMerge, Seq: 9, Snap: snap,
+		Recs: report.EncodeRecords(walSampleReports()[:2]), Keys: []uint64{KeyHash("a"), KeyHash("b")}}
+	want, err := AppendWALRecord(nil, rec, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seg bytes.Buffer
+	if err := WriteMergeSegmentRecords(&seg, snap, 3, 5, rec.Recs, rec.Keys); err != nil {
+		t.Fatal(err)
+	}
+	frame := func(payload []byte) []byte {
+		raw := []byte{WALMerge}
+		raw = binary.AppendUvarint(raw, rec.Seq)
+		raw = binary.AppendUvarint(raw, 0)
+		raw = binary.AppendUvarint(raw, uint64(len(payload)))
+		raw = append(raw, payload...)
+		return binary.LittleEndian.AppendUint32(raw, crc32.Checksum(raw, walCRCTable))
+	}
+	if !bytes.Equal(frame(seg.Bytes()), want) {
+		t.Fatal("hand-framed merge record differs from AppendWALRecord's")
+	}
+	got, err := ReadWALRecord(bufio.NewReader(bytes.NewReader(want)), 3, 5)
+	if err != nil || !reflect.DeepEqual(got.Recs, rec.Recs) || !reflect.DeepEqual(got.Keys, rec.Keys) {
+		t.Fatalf("merge record read back as %+v (err %v)", got, err)
+	}
+	junk := frame(append(seg.Bytes(), 0x00))
+	if _, err := ReadWALRecord(bufio.NewReader(bytes.NewReader(junk)), 3, 5); err == nil || err == io.EOF {
+		t.Fatalf("merge payload with a trailing byte: err %v, want a torn record", err)
+	}
 }

@@ -11,10 +11,11 @@
 // id lists) past Release is a contract violation; the -race tests in
 // arena_test.go pin the Set-level guarantee.
 //
-// The decoder enforces exactly the invariants of UnmarshalBinary —
-// bounded dims, strictly ascending lists, allocation tracking bytes
-// read rather than claimed lengths (fuzz-verified by
-// FuzzReportRoundTripBinaryArena against the classic decoder).
+// Decoding is the set walker's (walk.go) — bounded dims, strictly
+// ascending lists, allocation tracking bytes read rather than claimed
+// lengths — over the whole body, which must hold exactly one set
+// (fuzz-verified by FuzzReportRoundTripBinaryArena against the
+// reference stream decoder in fuzz_test.go).
 package report
 
 import (
@@ -66,22 +67,14 @@ type Lease struct {
 	body bytes.Buffer
 	// out is the Set handed to the caller; Release severs it so the
 	// caller's pointer can never observe recycled contents.
-	out      *Set
+	out *Set
+	// walk holds the walked body's id slab and record extents; reports
+	// alias its slab.
+	walk     setWalk
 	reports  []Report
 	ptrs     []*Report
-	ids      []int32
-	spans    []recSpan
 	recs     [][]byte
 	released bool
-}
-
-// recSpan records one report's extents: its ids inside the shared slab
-// (sites occupy ids[s0:s1], preds ids[s1:p1]) and its record inside
-// the body (body[b0:b1], canonical or not — see Walked).
-type recSpan struct {
-	s0, s1, p1 int
-	b0, b1     int
-	canonical  bool
 }
 
 // leaseBodySize is a fresh lease's body buffer: room for a typical
@@ -93,7 +86,7 @@ const leaseBodySize = 1 << 15
 // longer needed; on error the workspace is recycled internally and the
 // lease is nil. r is read to EOF before anything is decoded, so a read
 // error anywhere in the body (a truncated gzip stream, say) rejects the
-// batch.
+// batch, and so does any byte after the set's last record.
 func (a *Arena) Decode(r io.Reader) (*Set, *Lease, error) {
 	a.decodes.Add(1)
 	var l *Lease
@@ -120,72 +113,23 @@ func (l *Lease) decode(r io.Reader) (*Set, error) {
 	if _, err := l.body.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("report: binary body: %v", err)
 	}
-	w := walker{buf: l.body.Bytes()}
-	if len(w.buf) < len(binaryMagic) {
-		err := io.ErrUnexpectedEOF
-		if len(w.buf) == 0 {
-			err = io.EOF
-		}
-		return nil, fmt.Errorf("report: binary magic: %v", err)
-	}
-	if string(w.buf[:len(binaryMagic)]) != binaryMagic {
-		return nil, fmt.Errorf("report: bad binary magic %q, want %q", w.buf[:len(binaryMagic)], binaryMagic)
-	}
-	w.off = len(binaryMagic)
-	numSites, err := w.dim("numSites")
-	if err != nil {
+	body := l.body.Bytes()
+	if err := l.walk.walk(body); err != nil {
 		return nil, err
 	}
-	numPreds, err := w.dim("numPreds")
-	if err != nil {
-		return nil, err
-	}
-	numReports, err := w.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("report: binary numReports: %v", err)
-	}
-	// A record is at least three bytes, so a count the body cannot hold
-	// is rejected before it sizes anything.
-	if numReports > uint64(len(w.buf)-w.off)/3 {
-		return nil, fmt.Errorf("report: binary numReports %d exceeds the %d-byte body", numReports, len(w.buf))
+	if rest := len(body) - l.walk.end; rest != 0 {
+		return nil, fmt.Errorf("report: binary set followed by %d trailing bytes", rest)
 	}
 	l.reports = l.reports[:0]
-	l.spans = l.spans[:0]
-	l.ids = l.ids[:0]
-	for i := uint64(0); i < numReports; i++ {
-		sp := recSpan{s0: len(l.ids), b0: w.off}
-		failed, err := w.flags()
-		if err == nil {
-			l.ids, err = w.list(l.ids, numSites, "sites")
-			sp.s1 = len(l.ids)
-		}
-		if err == nil {
-			l.ids, err = w.list(l.ids, numPreds, "preds")
-		}
-		if err != nil {
-			return nil, fmt.Errorf("report: binary report %d: %v", i, err)
-		}
-		sp.p1, sp.b1, sp.canonical = len(l.ids), w.off, !w.overlong
-		l.reports = append(l.reports, Report{Failed: failed})
-		l.spans = append(l.spans, sp)
+	for i := range l.walk.spans {
+		l.reports = append(l.reports, l.walk.report(i))
 	}
-	// Materialize the id sub-slices only now that the slab has stopped
-	// growing — slicing mid-decode would be invalidated by append
-	// reallocation. Full-capacity slice expressions keep a report from
-	// appending into its neighbour's ids.
+	// Pointers only now that the reports slice has stopped growing.
 	l.ptrs = l.ptrs[:0]
 	for i := range l.reports {
-		sp := l.spans[i]
-		rp := &l.reports[i]
-		if sp.s1 > sp.s0 {
-			rp.ObservedSites = l.ids[sp.s0:sp.s1:sp.s1]
-		}
-		if sp.p1 > sp.s1 {
-			rp.TruePreds = l.ids[sp.s1:sp.p1:sp.p1]
-		}
-		l.ptrs = append(l.ptrs, rp)
+		l.ptrs = append(l.ptrs, &l.reports[i])
 	}
-	l.out = &Set{NumSites: numSites, NumPreds: numPreds, Reports: l.ptrs}
+	l.out = &Set{NumSites: l.walk.numSites, NumPreds: l.walk.numPreds, Reports: l.ptrs}
 	return l.out, nil
 }
 
@@ -199,11 +143,9 @@ func (l *Lease) Records() [][]byte {
 	if l == nil {
 		return nil
 	}
-	body := l.body.Bytes()
 	l.recs = l.recs[:0]
-	for i, sp := range l.spans {
-		rec := Walked{Len: sp.b1 - sp.b0, Canonical: sp.canonical}
-		l.recs = append(l.recs, CanonicalRecord(body[sp.b0:], rec, &l.reports[i]))
+	for i := range l.walk.spans {
+		l.recs = append(l.recs, l.walk.record(l.body.Bytes(), i))
 	}
 	return l.recs
 }

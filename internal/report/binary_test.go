@@ -75,7 +75,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		want.TruePreds = randomAscending(rng, numPreds)
 
 		rec := AppendRecord(nil, want)
-		got, err := ReadRecord(bytes.NewReader(rec), numSites, numPreds)
+		got, _, err := DecodeRecord(rec, numSites, numPreds)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -116,7 +116,7 @@ func TestRecordMalformed(t *testing.T) {
 		"out of range":  {0x00, 0x01, 0x63, 0x00},
 	}
 	for name, data := range cases {
-		if _, err := ReadRecord(bytes.NewReader(data), 10, 10); err == nil {
+		if _, _, err := DecodeRecord(data, 10, 10); err == nil {
 			t.Errorf("%s: expected error, got nil", name)
 		}
 	}
@@ -207,8 +207,8 @@ func TestBinaryLyingLengthAtPreallocCap(t *testing.T) {
 	// the preallocation cap — legal against the declared dims, but with
 	// no list bytes following — must fail on EOF with total allocation
 	// bounded by a handful of capped hints, not reports × declared
-	// length. This pins the capHint clamp in UnmarshalBinary and
-	// readDeltaList at the exact cap boundary.
+	// length. This pins the walker's bytes-left bound on list and
+	// report counts at the reference decoder's old cap boundary.
 	for _, claim := range []uint64{maxListPrealloc, maxListPrealloc + 1, 1 << 20} {
 		var buf bytes.Buffer
 		buf.WriteString(binaryMagic)

@@ -1,13 +1,12 @@
-// The slice walker: record decoding over a []byte cursor. It validates
-// exactly what the stream decoder (ReadRecord / UnmarshalBinary) does —
-// known flags, list lengths within the dimension, strictly ascending
-// in-range ids — but reads varints by index instead of one interface
-// call per byte, and reports what the stream cannot: where each record
-// ends and whether its bytes are canonical (byte-identical to
-// AppendRecord over the decoded report), so callers that retain records
-// can copy the wire span instead of re-encoding.
-// FuzzReportRoundTripBinaryArena pins the two decoders to the same
-// accept/reject decision and the same decoded ids on every input.
+// The slice walker: the one binary decoder. It reads varints by index
+// over a []byte cursor and validates known flags, list lengths within
+// the dimension and strictly ascending in-range ids. Beyond the ids it
+// reports where each record ends and whether its bytes are canonical
+// (byte-identical to AppendRecord over the decoded report), so callers
+// that retain records can copy the wire span instead of re-encoding,
+// and where a whole set ends, so callers can require that nothing
+// follows it. The fuzz targets pin it to a naive stream decoder kept in
+// fuzz_test.go as the reference.
 package report
 
 import (
@@ -85,7 +84,7 @@ func (w *walker) listLen(dim int) (int, error) {
 }
 
 // appendIDs decodes n delta-encoded ids onto dst, validating ascending
-// order and range like appendDeltaList.
+// order and range.
 func (w *walker) appendIDs(dst []int32, n, dim int) ([]int32, error) {
 	prev := int64(-1)
 	for i := 0; i < n; i++ {
@@ -181,9 +180,9 @@ type Walked struct {
 	Canonical bool
 }
 
-// DecodeRecord is ReadRecord over a byte slice: it decodes the record
-// at the front of buf into a freshly allocated Report whose id lists
-// are sized exactly, and says how the record sat in buf.
+// DecodeRecord decodes the record at the front of buf into a freshly
+// allocated Report whose id lists are sized exactly, and says how the
+// record sat in buf.
 func DecodeRecord(buf []byte, numSites, numPreds int) (*Report, Walked, error) {
 	w := walker{buf: buf}
 	failed, err := w.flags()
@@ -210,4 +209,142 @@ func CanonicalRecord(wire []byte, rec Walked, r *Report) []byte {
 		return wire[:rec.Len:rec.Len]
 	}
 	return AppendRecord(nil, r)
+}
+
+// recSpan records one walked record's extents: its ids inside the
+// walk's slab (sites occupy ids[s0:s1], preds ids[s1:p1]) and its bytes
+// inside the walked buffer (buf[b0:b1], canonical or not — see Walked).
+type recSpan struct {
+	s0, s1, p1        int
+	b0, b1            int
+	failed, canonical bool
+}
+
+// setWalk is one walked binary set: its dimensions, every record's ids
+// in one slab plus its extents, and the offset in the buffer where the
+// set ended. A reused setWalk reuses its slabs.
+type setWalk struct {
+	numSites, numPreds int
+	// dropIDs discards each record's ids once they are validated, for a
+	// caller that keeps only the spans: the slab then never outgrows one
+	// record, and report must not be called.
+	dropIDs bool
+	ids     []int32
+	spans   []recSpan
+	end     int
+}
+
+// walk validates the binary set at the front of buf — magic, header and
+// every record. Bytes past sw.end are the caller's to interpret or
+// refuse.
+func (sw *setWalk) walk(buf []byte) error {
+	w := walker{buf: buf}
+	if len(buf) < len(binaryMagic) {
+		err := io.ErrUnexpectedEOF
+		if len(buf) == 0 {
+			err = io.EOF
+		}
+		return fmt.Errorf("report: binary magic: %v", err)
+	}
+	if string(buf[:len(binaryMagic)]) != binaryMagic {
+		return fmt.Errorf("report: bad binary magic %q, want %q", buf[:len(binaryMagic)], binaryMagic)
+	}
+	w.off = len(binaryMagic)
+	var err error
+	if sw.numSites, err = w.dim("numSites"); err != nil {
+		return err
+	}
+	if sw.numPreds, err = w.dim("numPreds"); err != nil {
+		return err
+	}
+	numReports, err := w.uvarint()
+	if err != nil {
+		return fmt.Errorf("report: binary numReports: %v", err)
+	}
+	// A record is at least three bytes, so a count the buffer cannot
+	// hold is rejected before it sizes anything.
+	if numReports > uint64(len(buf)-w.off)/3 {
+		return fmt.Errorf("report: binary numReports %d exceeds the %d-byte body", numReports, len(buf))
+	}
+	sw.ids, sw.spans = sw.ids[:0], sw.spans[:0]
+	for i := uint64(0); i < numReports; i++ {
+		sp := recSpan{s0: len(sw.ids), b0: w.off}
+		sp.failed, err = w.flags()
+		if err == nil {
+			sw.ids, err = w.list(sw.ids, sw.numSites, "sites")
+			sp.s1 = len(sw.ids)
+		}
+		if err == nil {
+			sw.ids, err = w.list(sw.ids, sw.numPreds, "preds")
+		}
+		if err != nil {
+			return fmt.Errorf("report: binary report %d: %v", i, err)
+		}
+		sp.p1, sp.b1, sp.canonical = len(sw.ids), w.off, !w.overlong
+		sw.spans = append(sw.spans, sp)
+		if sw.dropIDs {
+			sw.ids = sw.ids[:0]
+		}
+	}
+	sw.end = w.off
+	return nil
+}
+
+// report returns walked record i as a Report whose id lists alias the
+// slab. Full-capacity slice expressions keep a report from appending
+// into its neighbour's ids.
+func (sw *setWalk) report(i int) Report {
+	sp := sw.spans[i]
+	r := Report{Failed: sp.failed}
+	if sp.s1 > sp.s0 {
+		r.ObservedSites = sw.ids[sp.s0:sp.s1:sp.s1]
+	}
+	if sp.p1 > sp.s1 {
+		r.TruePreds = sw.ids[sp.s1:sp.p1:sp.p1]
+	}
+	return r
+}
+
+// record returns walked record i's canonical bytes: its span of buf
+// (the buffer walked) when the sender's bytes are canonical, a fresh
+// AppendRecord encoding otherwise.
+func (sw *setWalk) record(buf []byte, i int) []byte {
+	sp := sw.spans[i]
+	if sp.canonical {
+		return buf[sp.b0:sp.b1:sp.b1]
+	}
+	// The walk accepted these bytes, so they decode again.
+	r, _, _ := DecodeRecord(buf[sp.b0:sp.b1], sw.numSites, sw.numPreds)
+	return AppendRecord(nil, r)
+}
+
+// SetRecords walks the binary set at the front of buf and returns its
+// dimensions, each record's canonical bytes (spans of buf where the
+// sender's bytes are canonical, so a holder that retains one must copy
+// it) and the offset where the set ends.
+func SetRecords(buf []byte) (numSites, numPreds int, recs [][]byte, end int, err error) {
+	sw := setWalk{dropIDs: true}
+	if err := sw.walk(buf); err != nil {
+		return 0, 0, nil, 0, err
+	}
+	recs = make([][]byte, len(sw.spans))
+	for i := range recs {
+		recs[i] = sw.record(buf, i)
+	}
+	return sw.numSites, sw.numPreds, recs, sw.end, nil
+}
+
+// DecodeRecords decodes canonical records into reports, in order — for
+// the consumers that need ids as slices: core.Input and the gateway's
+// warm window.
+func DecodeRecords(recs [][]byte, numSites, numPreds int) ([]*Report, error) {
+	out := make([]*Report, 0, len(recs))
+	for i, rec := range recs {
+		r, _, err := DecodeRecord(rec, numSites, numPreds)
+		if err != nil {
+			return nil, fmt.Errorf("report: record %d: %v", i, err)
+		}
+		out = append(out, r)
+	}
+	return out, nil
 }

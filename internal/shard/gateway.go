@@ -485,13 +485,13 @@ func (g *Gateway) fetchShard(ctx context.Context, ws *warmShard, counters bool) 
 			g.fullPulls.Inc()
 			if res.hasState && !g.cfg.DisableDeltaSync {
 				ws.valid, ws.epoch, ws.version = true, res.epoch, res.version
-				ws.snap, ws.window = res.snap, res.set.Reports
+				ws.snap, ws.window = res.snap, res.window
 				return ws.view(counters)
 			}
 			// No state version to resume from (delta sync is off, there or
 			// here): nothing to keep warm, and nothing else holds res.
 			ws.valid, ws.snap, ws.window = false, nil, nil
-			return shardView{snap: res.snap, window: res.set.Reports}
+			return shardView{snap: res.snap, window: res.window}
 		}
 		seg := res.delta
 		if ws.valid && seg.Epoch == ws.epoch && seg.From == ws.version {
@@ -516,7 +516,7 @@ func (g *Gateway) fetchShard(ctx context.Context, ws *warmShard, counters bool) 
 // headers when the shard serves them.
 type shardResponse struct {
 	snap           *corpus.AggSnapshot
-	set            *report.Set
+	window         []*report.Report
 	delta          *corpus.DeltaSegment
 	epoch, version uint64
 	hasState       bool
@@ -564,11 +564,16 @@ func (g *Gateway) fetchState(ctx context.Context, url, since string) (*shardResp
 		out.delta = seg
 		return out, g.checkPlan("delta", seg.NumSites, seg.NumPreds, seg.Fingerprint)
 	}
-	snap, set, _, err := corpus.ReadMergeSegmentKeyed(gz)
+	snap, recs, _, err := corpus.ReadMergeSegmentKeyed(gz)
 	if err != nil {
 		return nil, err
 	}
-	out.snap, out.set = snap, set
+	// The warm window holds ids, so the records are decoded here, as
+	// delta events are.
+	if out.window, err = report.DecodeRecords(recs, snap.NumSites, snap.NumPreds); err != nil {
+		return nil, err
+	}
+	out.snap = snap
 	return out, g.checkPlan("snapshot", snap.NumSites, snap.NumPreds, snap.Fingerprint)
 }
 
