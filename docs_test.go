@@ -63,7 +63,7 @@ func TestDocsLinksResolve(t *testing.T) {
 				if _, err := os.Stat(ref); err == nil {
 					continue
 				}
-				t.Errorf("%s mentions `%s`, which does not exist", doc, ref)
+				t.Errorf("%s mentions `%s`, which exists neither relative to %s nor to the repository root", doc, ref, doc)
 			}
 		})
 	}
